@@ -15,9 +15,9 @@ All arithmetic is exact; no floats appear in any output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -118,14 +118,6 @@ def _certificate(command, digest, parameters, verdict, witnesses) -> dict:
         "verdict": verdict,
         "witnesses": witnesses,
     }
-
-
-def _jobs_default() -> int:
-    raw = os.environ.get("TORQUIV_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -389,20 +381,15 @@ def _cmd_corpus_regen(args):
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and reused for the process."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--max-nodes",
         type=int,
         default=DEFAULT_MAX_NODES,
         help="search node cap for enumerations (default 10^7)",
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=_jobs_default(),
-        help="worker shards; shards always produce schedule-independent "
-        "output and currently run sequentially",
     )
 
     parser = _Parser(prog="torquiv", description=__doc__)
@@ -508,9 +495,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     if not getattr(args, "handler", None):
         _error_json("InputError", "a subcommand is required (see torquiv --help)")
-        return 1
-    if args.__dict__.get("jobs", 1) < 1:
-        _error_json("InputError", "--jobs must be a positive integer")
         return 1
     try:
         result = args.handler(args)

@@ -5,16 +5,18 @@ divergence θ at every vertex.  For acyclic Q it is a lattice polytope; an
 oriented cycle makes it unbounded (its characteristic vector is a recession
 direction), in which case only the bounded-flow variant enumerates points.
 
-Everything here is exact: integer backtracking for lattice points, the
-stable-forest characterization for vertices, and rational Gaussian
-elimination for dimensions.  No floats.
+Everything here is exact and integer.  One backtracking walk over the
+arrows enumerates lattice points, and with forest support it enumerates
+vertices (integer flows with forest support, by total unimodularity).
+Dimensions are read off the support graph: |S| - |V| + c(V, S) for the
+arrows S that some point of the polyhedron uses.  No floats.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     EmptyPolyhedron,
@@ -28,7 +30,7 @@ from .quiver import (
     Quiver,
     check_weight,
     components,
-    is_theta_stable,
+    euler_characteristic,
     primitive_cycles,
     topological_order,
 )
@@ -79,6 +81,104 @@ def _sorted_flows(flows: list[dict], quiver: Quiver) -> list[dict]:
     return sorted(flows, key=lambda f: flow_tuple(f, order))
 
 
+# -- the integer walk --------------------------------------------------------
+
+
+def _walk_arrows(quiver: Quiver, order: list[str]) -> list[Arrow]:
+    """Non-loop arrows grouped by the first vertex of `order` they touch,
+    by id within a group: once a vertex's group is assigned, its divergence
+    is settled.  On a topological order this groups arrows by tail."""
+    seen: set = set()
+    arrows = []
+    for v in order:
+        for a in sorted(quiver.out_arrows(v) + quiver.in_arrows(v), key=lambda a: a.id):
+            if a.id not in seen and not a.is_loop():
+                seen.add(a.id)
+                arrows.append(a)
+    return arrows
+
+
+def _integer_walk(
+    arrows: list[Arrow],
+    need: dict,
+    cap: int,
+    flow: dict,
+    budget: _NodeBudget,
+    values: dict | None = None,
+) -> list[dict]:
+    """Every integer flow on `arrows` with entries in [0, cap] and
+    divergence `need`, as copies of `flow` (which holds every output key).
+
+    Backtracks arrow by arrow and keeps, for every vertex, the interval of
+    divergence its unassigned arrows can still produce; an arrow value is
+    tried only when both of its endpoints stay inside their intervals, so
+    every search node is locally feasible and the last arrow at a vertex is
+    forced outright.  With `values` (arrow id -> sorted positive values) an
+    arrow is positive only on a listed value and only when it joins two
+    components of the support so far (a union-find with undo), so every
+    flow found has forest support."""
+    touched = {v for a in arrows for v in (a.tail, a.head)}
+    if any(need[v] for v in need if v not in touched):
+        return []  # no arrow can meet the weight of a vertex without one
+    # [lo[v], hi[v]]: divergence the unassigned arrows at v can produce
+    lo = dict.fromkeys(need, 0)
+    hi = dict.fromkeys(need, 0)
+    for a in arrows:
+        lo[a.tail] -= cap
+        hi[a.head] += cap
+    parent = {v: v for v in need}
+    size = dict.fromkeys(need, 1)
+    results: list[dict] = []
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def assign(i: int) -> None:
+        if i == len(arrows):
+            results.append(dict(flow))
+            return
+        a = arrows[i]
+        t, h = a.tail, a.head
+        lo[t] += cap
+        hi[h] -= cap
+        low = max(0, lo[t] - need[t], need[h] - hi[h])
+        high = min(cap, hi[t] - need[t], need[h] - lo[h])
+        if values is None:
+            tries = range(low, high + 1)
+            rt = rh = None
+        else:
+            tries = [0] if low == 0 <= high else []
+            rt, rh = find(t), find(h)
+            if rt != rh:
+                vals = values[a.id]
+                tries += vals[bisect_left(vals, low) : bisect_right(vals, high)]
+                if size[rt] > size[rh]:
+                    rt, rh = rh, rt
+        for x in tries:
+            budget.spend()
+            flow[a.id] = x
+            need[t] += x
+            need[h] -= x
+            if x and rt is not None:
+                parent[rt] = rh
+                size[rh] += size[rt]
+                assign(i + 1)
+                size[rh] -= size[rt]
+                parent[rt] = rt
+            else:
+                assign(i + 1)
+            need[t] -= x
+            need[h] += x
+        flow[a.id] = 0
+        lo[t] -= cap
+        hi[h] += cap
+
+    assign(0)
+    return results
+
+
 # -- lattice points ----------------------------------------------------------
 
 
@@ -88,11 +188,7 @@ def lattice_points(
     """All non-negative integer flows with divergence k*theta, for acyclic
     quivers, sorted lexicographically in sorted-arrow-id coordinates.
 
-    Backtracks arrow by arrow (grouped by tail in topological order) and
-    keeps, for every vertex, the interval of divergence its unassigned
-    arrows can still produce; an arrow value is tried only when both of
-    its endpoints stay inside their intervals, so every search node is
-    locally feasible and the last arrow at a vertex is forced outright.
+    One integer walk over the arrows, grouped by tail in topological order.
     """
     if not isinstance(k, int) or k < 1:
         raise InputError("degree k must be a positive integer")
@@ -105,55 +201,14 @@ def lattice_points(
     if sum(weight[v] for v in quiver.vertices) != 0:
         warnings.warn("weight does not sum to zero: polyhedron is empty", EmptyWeight)
         return []
-    for v in quiver.vertices:
-        if not quiver.out_arrows(v) and not quiver.in_arrows(v) and weight[v] != 0:
-            return []
 
     # No single arrow can ever carry more than the total sink demand.
     cap = k * sum(max(weight[v], 0) for v in quiver.vertices)
-    arrows = [
-        a
-        for v in order
-        for a in sorted(quiver.out_arrows(v), key=lambda arrow: arrow.id)
-    ]
-
-    # need[v]: divergence the unassigned arrows at v must still produce;
-    # [lo[v], hi[v]]: what they can produce (each arrow ranges over [0, cap]).
+    arrows = _walk_arrows(quiver, order)
     need = {v: k * weight[v] for v in quiver.vertices}
-    lo = {v: 0 for v in quiver.vertices}
-    hi = {v: 0 for v in quiver.vertices}
-    for a in arrows:
-        lo[a.tail] -= cap
-        hi[a.head] += cap
-
-    budget = _NodeBudget(max_nodes)
-    results: list[dict] = []
-    flow: dict = {}
-
-    def assign(i: int) -> None:
-        if i == len(arrows):
-            results.append(dict(flow))
-            return
-        a = arrows[i]
-        t, h = a.tail, a.head
-        lo[t] += cap
-        hi[h] -= cap
-        low = max(0, lo[t] - need[t], need[h] - hi[h])
-        high = min(cap, hi[t] - need[t], need[h] - lo[h])
-        for x in range(low, high + 1):
-            budget.spend()
-            flow[a.id] = x
-            need[t] += x
-            need[h] -= x
-            assign(i + 1)
-            need[t] -= x
-            need[h] += x
-        flow.pop(a.id, None)
-        lo[t] -= cap
-        hi[h] += cap
-
-    assign(0)
-    return _sorted_flows(results, quiver)
+    flow = {a.id: 0 for a in arrows}
+    found = _integer_walk(arrows, need, cap, flow, _NodeBudget(max_nodes))
+    return _sorted_flows(found, quiver)
 
 
 def bounded_lattice_points(
@@ -167,6 +222,9 @@ def bounded_lattice_points(
     if sum(theta[v] for v in quiver.vertices) != 0:
         return []
     arrows = sorted(quiver.arrows, key=lambda a: a.id)
+    touched = {v for a in arrows for v in (a.tail, a.head)}
+    if any(theta[v] for v in quiver.vertices if v not in touched):
+        return []  # no arrow can meet the weight of an isolated vertex
     budget = _NodeBudget(max_nodes)
 
     # Interval of divergence still achievable at v by unassigned arrows.
@@ -282,151 +340,52 @@ def gadget_flow(spec: BoundedFlowSpec, flow: dict) -> dict:
 # -- vertices ----------------------------------------------------------------
 
 
-def _tree_flow(vertices: frozenset, arrows: list[Arrow], theta: dict) -> dict | None:
-    """Unique flow with divergence theta supported on a tree; None when any
-    entry fails to be a strictly positive integer."""
-    residual = {v: theta[v] for v in vertices}
-    degree = {v: 0 for v in vertices}
-    incident: dict = {v: [] for v in vertices}
-    for a in arrows:
-        degree[a.tail] += 1
-        degree[a.head] += 1
-        incident[a.tail].append(a)
-        incident[a.head].append(a)
-    leaves = [v for v in vertices if degree[v] == 1]
-    done: set = set()
-    flow: dict = {}
-    while leaves:
-        v = leaves.pop()
-        arrow = None
-        for a in incident[v]:
-            if a.id not in done:
-                arrow = a
-                break
-        if arrow is None:
-            continue
-        x = residual[v] if arrow.head == v else -residual[v]
-        if x <= 0:
-            return None
-        flow[arrow.id] = x
-        done.add(arrow.id)
-        residual[arrow.head] -= x
-        residual[arrow.tail] += x
-        other = arrow.tail if arrow.head == v else arrow.head
-        degree[other] -= 1
-        degree[v] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    if any(residual[v] != 0 for v in vertices):
-        return None
-    return flow
+def _subset_sums(values) -> set:
+    sums = {0}
+    for w in values:
+        if w:
+            sums |= {s + w for s in sums}
+    return sums
 
 
 def vertices(
     quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[dict]:
-    """All vertices of the quiver polyhedron, via the combinatorial
-    characterization: m is a vertex exactly when the connected components of
-    its support are stable subtrees (isolated vertices allowed where the
-    weight vanishes).
+    """All vertices of the quiver polyhedron.
 
-    Enumerates forests of the underlying graph by include/exclude
-    backtracking with union-find cycle pruning; on each forest solves the
-    unique tree flows and keeps those that are strictly positive with every
-    component stable.
+    The constraint matrix of {x >= 0 : div x = theta} is an incidence
+    matrix, hence totally unimodular, so the vertices are exactly the
+    integer points of the polyhedron whose support is a forest of the
+    underlying graph (a loop counts as a cycle, so loops stay 0).  On such
+    a flow an arrow t -> h carries theta(S) for the vertex set S on its
+    head side, so it is at most the sum of the positive weights and lies
+    in {theta(S) : h in S, t not in S, S inside the arrow's component}.
+
+    One integer walk finds each vertex once: the divergence-interval
+    pruning of `lattice_points`, plus forest support and these value sets.
     """
     check_weight(quiver, weight)
     if sum(weight[v] for v in quiver.vertices) != 0:
         return []
-    zero = {a.id: 0 for a in quiver.arrows}
-    if all(weight[v] == 0 for v in quiver.vertices):
-        # the origin is the only candidate: any component with an arrow has
-        # a successor-closed subset of weight 0
-        return [zero]
-
-    arrows = sorted(quiver.arrows, key=lambda a: a.id)
-    arrows = [a for a in arrows if not a.is_loop()]  # loops never in forests
-    budget = _NodeBudget(max_nodes)
-    results: list[dict] = []
-
-    parent = {v: v for v in quiver.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    chosen: list[Arrow] = []
-
-    def leaf() -> None:
-        groups: dict = {}
-        for v in quiver.vertices:
-            groups.setdefault(find(v), []).append(v)
-        comp_arrows: dict = {r: [] for r in groups}
-        for a in chosen:
-            comp_arrows[find(a.tail)].append(a)
-        flow = dict(zero)
-        for root, verts in groups.items():
-            vset = frozenset(verts)
-            sub = Quiver(sorted(vset), comp_arrows[root])
-            tflow = _tree_flow(vset, comp_arrows[root], weight)
-            if tflow is None:
-                return
-            if not is_theta_stable(sub, {v: weight[v] for v in vset}):
-                return
-            flow.update(tflow)
-        results.append(flow)
-
-    def rec(i: int) -> None:
-        budget.spend()
-        if i == len(arrows):
-            leaf()
-            return
-        a = arrows[i]
-        # exclude
-        rec(i + 1)
-        # include if no undirected cycle forms
-        ra, rb = find(a.tail), find(a.head)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(a)
-            rec(i + 1)
-            chosen.pop()
-            parent[ra] = ra
-
-    rec(0)
-    return _sorted_flows(results, quiver)
+    arrows = _walk_arrows(quiver, topological_order(quiver) or list(quiver.vertices))
+    cap = sum(max(weight[v], 0) for v in quiver.vertices)
+    component = {v: comp for comp in components(quiver) for v in comp}
+    sums: dict = {}
+    values: dict = {}
+    for a in arrows:
+        ends = frozenset((a.tail, a.head))
+        if ends not in sums:
+            sums[ends] = _subset_sums(weight[v] for v in component[a.head] - ends)
+        values[a.id] = sorted(
+            x for x in (s + weight[a.head] for s in sums[ends]) if 0 < x <= cap
+        )
+    need = {v: weight[v] for v in quiver.vertices}
+    flow = {a.id: 0 for a in quiver.arrows}
+    found = _integer_walk(arrows, need, cap, flow, _NodeBudget(max_nodes), values)
+    return _sorted_flows(found, quiver)
 
 
 # -- dimension and facets ----------------------------------------------------
-
-
-def _rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def recession_hilbert_basis(quiver: Quiver) -> list[dict]:
@@ -435,52 +394,55 @@ def recession_hilbert_basis(quiver: Quiver) -> list[dict]:
     return [c.epsilon(quiver) for c in primitive_cycles(quiver)]
 
 
-def _affine_rank_data(
-    quiver: Quiver, verts: list[dict], rays: list[dict]
-) -> int:
-    order = quiver.sorted_arrow_ids()
-    rows = []
-    if verts:
-        base = flow_tuple(verts[0], order)
-        for m in verts[1:]:
-            rows.append([x - b for x, b in zip(flow_tuple(m, order), base)])
-    for r in rays:
-        rows.append(list(flow_tuple(r, order)))
-    return _rank(rows)
+def support_dimension(quiver: Quiver, support) -> int:
+    """Dimension of a nonempty polyhedron {x >= 0 : div x = theta} whose
+    points are positive on the arrow set `support` and nowhere else
+    together: |S| - |V| + c(V, S).
+
+    A point positive on all of S lies in the relative interior, so the
+    affine hull is {div x = theta, x = 0 off S}; the incidence matrix of
+    the graph (V, S) has rank |V| minus its number of components."""
+    return euler_characteristic(quiver.restricted_to_arrows(support))
 
 
-def dimension(quiver: Quiver, weight: dict) -> int:
-    """Dimension of the affine span of the polyhedron (vertex differences
-    plus recession generators)."""
+def _supports(quiver: Quiver, weight: dict) -> tuple[list[set], list[set]]:
+    """Supports of the vertices and of the primitive cycles (the
+    generators of the recession cone) of a nonempty polyhedron."""
     verts = vertices(quiver, weight)
     if not verts:
         raise EmptyPolyhedron("quiver polyhedron has no points")
-    return _affine_rank_data(quiver, verts, recession_hilbert_basis(quiver))
+    return (
+        [{a for a, x in m.items() if x} for m in verts],
+        [set(c.arrow_ids) for c in primitive_cycles(quiver)],
+    )
+
+
+def dimension(quiver: Quiver, weight: dict) -> int:
+    """Dimension of the polyhedron, from the union of the supports of its
+    vertices and of its primitive cycles."""
+    vert_supports, ray_supports = _supports(quiver, weight)
+    return support_dimension(quiver, set().union(*vert_supports, *ray_supports))
 
 
 def facet_arrows(quiver: Quiver, weight: dict) -> list[list[str]]:
     """Arrows whose vanishing locus is a facet, grouped by the facet they
     cut (two arrows land in one group when their faces coincide).  Groups
     are sorted by their smallest arrow id."""
-    verts = vertices(quiver, weight)
-    if not verts:
-        raise EmptyPolyhedron("quiver polyhedron has no points")
-    cycles = primitive_cycles(quiver)
-    rays = [c.epsilon(quiver) for c in cycles]
-    dim = _affine_rank_data(quiver, verts, rays)
+    vert_supports, ray_supports = _supports(quiver, weight)
+    dim = support_dimension(quiver, set().union(*vert_supports, *ray_supports))
 
     groups: dict = {}
     for a in sorted(quiver.arrows, key=lambda a: a.id):
-        face_verts = [i for i, m in enumerate(verts) if m[a.id] == 0]
+        face_verts = tuple(i for i, s in enumerate(vert_supports) if a.id not in s)
         if not face_verts:
             continue  # the face is empty: every point uses a
-        face_rays = [i for i, c in enumerate(cycles) if a.id not in c.arrow_ids]
-        fdim = _affine_rank_data(
-            quiver, [verts[i] for i in face_verts], [rays[i] for i in face_rays]
+        face_rays = tuple(i for i, s in enumerate(ray_supports) if a.id not in s)
+        face_support = set().union(
+            *(vert_supports[i] for i in face_verts),
+            *(ray_supports[i] for i in face_rays),
         )
-        if fdim == dim - 1:
-            key = (tuple(face_verts), tuple(face_rays))
-            groups.setdefault(key, []).append(a.id)
+        if support_dimension(quiver, face_support) == dim - 1:
+            groups.setdefault((face_verts, face_rays), []).append(a.id)
     return sorted(groups.values(), key=lambda g: g[0])
 
 

@@ -8,7 +8,7 @@ Conventions used throughout the library:
 * An integer flow is a plain ``dict`` mapping every arrow id to an ``int``;
   the divergence of a flow at a vertex is **inflow minus outflow**:
   ``div(x)(v) = sum(x(a) for a with head v) - sum(x(a) for a with tail v)``.
-* All arithmetic is exact (ints and ``fractions.Fraction``); no floats.
+* All arithmetic is exact integer arithmetic; no floats.
 
 Derived objects (contractions, doubled quivers, ...) generate new ids by
 deterministic schemes documented at their construction sites, so that every

@@ -1,8 +1,15 @@
 """Shared example quivers for the test suite."""
 
 import random
+from fractions import Fraction
 
-from torquiv import Arrow, Quiver
+from torquiv import (
+    Arrow,
+    BoundedFlowSpec,
+    Quiver,
+    bounded_lattice_points,
+    recession_hilbert_basis,
+)
 
 
 def kronecker(w1=-1, w2=1):
@@ -92,6 +99,147 @@ def random_acyclic(rng: random.Random, max_vertices=5, max_arrows=8, weight_boun
     w.append(-sum(w))
     return Quiver(verts, arrows), dict(zip(verts, w))
 
+
+def random_pair(rng: random.Random, max_vertices=4, max_arrows=5, weight_bound=2):
+    """A random quiver, cycles and loops allowed, with a weight that sums
+    to zero; about one vertex in six carries only a loop."""
+    n = rng.randint(1, max_vertices)
+    verts = [f"v{i}" for i in range(n)]
+    loop_only = {v for v in verts if rng.random() < 1 / 6}
+    others = [v for v in verts if v not in loop_only]
+    arrows = [Arrow(f"l{i}", v, v) for i, v in enumerate(sorted(loop_only))]
+    for k in range(rng.randint(0, max_arrows) if others else 0):
+        arrows.append(Arrow(f"a{k}", rng.choice(others), rng.choice(others)))
+    w = [rng.randint(-weight_bound, weight_bound) for _ in range(n - 1)]
+    w.append(-sum(w))
+    return Quiver(verts, arrows), dict(zip(verts, w))
+
+
+# -- independent vertex and rank oracles ---------------------------------------
+#
+# An integer point x of the polyhedron conv(V) + cone(R) of a pair, taken from
+# a finite set B of its integer points with V inside B, is a vertex exactly
+# when it is not in conv(B - {x}) + cone(R).  The membership check is a
+# phase-1 simplex over exact rationals with Bland's rule, and ranks come from
+# Gaussian elimination over the rationals, both written here from scratch so
+# they share nothing with the production forest and support-graph criteria.
+
+
+def simplex_feasible(columns: list[tuple], rhs: tuple) -> bool:
+    """Is there x >= 0 with (columns as a matrix) @ x = rhs?"""
+    rows = len(rhs)
+    ncols = len(columns)
+    table = []
+    for i in range(rows):
+        sign = 1 if rhs[i] >= 0 else -1
+        row = [Fraction(sign * columns[j][i]) for j in range(ncols)]
+        row += [Fraction(1) if k == i else Fraction(0) for k in range(rows)]
+        row.append(Fraction(sign * rhs[i]))
+        table.append(row)
+    basis = [ncols + i for i in range(rows)]
+    total = ncols + rows
+
+    def objective_row():
+        cost = [Fraction(0)] * (total + 1)
+        for i in range(rows):
+            if basis[i] >= ncols:
+                for k in range(total + 1):
+                    cost[k] += table[i][k]
+        return cost
+
+    while True:
+        cost = objective_row()
+        # Bland's rule; artificial columns are discarded once they leave,
+        # which never changes the phase-1 optimum.
+        entering = next((j for j in range(ncols) if cost[j] > 0), None)
+        if entering is None:
+            break
+        best = None
+        for i in range(rows):
+            if table[i][entering] > 0:
+                ratio = table[i][total] / table[i][entering]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        assert best is not None  # the phase-1 objective is bounded below
+        _, pivot_row = best
+        pivot = table[pivot_row][entering]
+        table[pivot_row] = [x / pivot for x in table[pivot_row]]
+        for i in range(rows):
+            if i != pivot_row and table[i][entering] != 0:
+                factor = table[i][entering]
+                table[i] = [x - factor * y for x, y in zip(table[i], table[pivot_row])]
+        basis[pivot_row] = entering
+
+    artificial_value = sum(
+        table[i][total] for i in range(rows) if basis[i] >= ncols
+    )
+    return artificial_value == 0
+
+
+def in_convex_hull(point: tuple, others: list[tuple], rays: list[tuple] = ()) -> bool:
+    """Is the point in conv(others) + cone(rays)?"""
+    if not others:
+        return False
+    columns = [tuple(o) + (1,) for o in others] + [tuple(r) + (0,) for r in rays]
+    return simplex_feasible(columns, tuple(point) + (1,))
+
+
+def hull_vertices(quiver, weight) -> set:
+    """Vertices of the polyhedron of a pair as flow tuples (sorted arrow
+    ids), by the hull test on its integer points with entries up to the
+    total positive weight, a bound every vertex meets."""
+    cap = sum(max(x, 0) for x in weight.values())
+    spec = BoundedFlowSpec(
+        quiver, weight, {a.id: 0 for a in quiver.arrows}, {a.id: cap for a in quiver.arrows}
+    )
+    order = quiver.sorted_arrow_ids()
+    box = {tuple(p[a] for a in order) for p in bounded_lattice_points(spec)}
+    rays = [tuple(r[a] for a in order) for r in recession_hilbert_basis(quiver)]
+    # a point that is another point plus a ray is neither a vertex nor needed
+    # to span the others
+    points = [
+        p for p in sorted(box)
+        if not any(tuple(x - y for x, y in zip(p, r)) in box for r in rays)
+    ]
+    return {
+        p for p in points if not in_convex_hull(p, [o for o in points if o != p], rays)
+    }
+
+
+def rational_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals, by exact Gaussian elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    col = 0
+    while rank < len(mat) and col < ncols:
+        pivot = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / pv
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def affine_rank(order: list[str], points: list[dict], rays: list[dict]) -> int:
+    """Dimension of conv(points) + cone(rays): the rank of the point
+    differences and the rays, in the given arrow order."""
+    rows = [[p[a] - points[0][a] for a in order] for p in points[1:]]
+    rows += [[r[a] for a in order] for r in rays]
+    return rational_rank(rows)
 
 # -- independent rewriting oracle ---------------------------------------------
 #

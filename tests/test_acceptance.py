@@ -8,12 +8,12 @@ check for generating sets of toric ideals.
 
 import random
 import time
-from fractions import Fraction
 
 from helpers import (
     affine_cycle_pair,
     all_factorizations,
     complete_bipartite,
+    in_convex_hull,
     random_acyclic,
     rewriting_connected,
     two_cycle,
@@ -180,72 +180,6 @@ def test_acceptance_07_normality_on_acyclic_corpus():
     assert time.monotonic() - start < 60.0
 
 
-# -- independent vertex oracle -------------------------------------------------
-#
-# A lattice point of an integral polytope is a vertex exactly when it is not
-# a convex combination of the other lattice points.  The membership check is
-# a phase-1 simplex over exact rationals with Bland's rule, written here from
-# scratch so it shares nothing with the production forest criterion.
-
-
-def _simplex_feasible(columns: list[tuple], rhs: tuple) -> bool:
-    """Is there x >= 0 with (columns as a matrix) @ x = rhs?"""
-    rows = len(rhs)
-    ncols = len(columns)
-    table = []
-    for i in range(rows):
-        sign = 1 if rhs[i] >= 0 else -1
-        row = [Fraction(sign * columns[j][i]) for j in range(ncols)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(rows)]
-        row.append(Fraction(sign * rhs[i]))
-        table.append(row)
-    basis = [ncols + i for i in range(rows)]
-    total = ncols + rows
-
-    def objective_row():
-        cost = [Fraction(0)] * (total + 1)
-        for i in range(rows):
-            if basis[i] >= ncols:
-                for k in range(total + 1):
-                    cost[k] += table[i][k]
-        return cost
-
-    while True:
-        cost = objective_row()
-        # Bland's rule; artificial columns are discarded once they leave,
-        # which never changes the phase-1 optimum.
-        entering = next((j for j in range(ncols) if cost[j] > 0), None)
-        if entering is None:
-            break
-        best = None
-        for i in range(rows):
-            if table[i][entering] > 0:
-                ratio = table[i][total] / table[i][entering]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        assert best is not None  # the phase-1 objective is bounded below
-        _, pivot_row = best
-        pivot = table[pivot_row][entering]
-        table[pivot_row] = [x / pivot for x in table[pivot_row]]
-        for i in range(rows):
-            if i != pivot_row and table[i][entering] != 0:
-                factor = table[i][entering]
-                table[i] = [x - factor * y for x, y in zip(table[i], table[pivot_row])]
-        basis[pivot_row] = entering
-
-    artificial_value = sum(
-        table[i][total] for i in range(rows) if basis[i] >= ncols
-    )
-    return artificial_value == 0
-
-
-def _in_convex_hull(point: tuple, others: list[tuple]) -> bool:
-    if not others:
-        return False
-    columns = [tuple(o) + (1,) for o in others]
-    return _simplex_feasible(columns, tuple(point) + (1,))
-
-
 def test_acceptance_08_vertices_match_exact_hull_oracle():
     covered = 0
     for stem, quiver, weight in corpus_pairs():
@@ -259,7 +193,7 @@ def test_acceptance_08_vertices_match_exact_hull_oracle():
         oracle = {
             t
             for t in tuples
-            if not _in_convex_hull(t, [s for s in tuples if s != t])
+            if not in_convex_hull(t, [s for s in tuples if s != t])
         }
         produced = {flow_tuple(v, order) for v in vertices(quiver, weight)}
         assert produced == oracle, stem
@@ -346,8 +280,8 @@ def test_acceptance_11_one_sided_matchings_certify_degree_three():
     for quiver in cases:
         assert osm_certify_degree3(quiver) is True
 
-    # explicit agreement with certification on the completed quiver
-    for quiver in cases[:2]:
+    # agreement with certification on the completed quiver
+    for quiver in cases:
         filled, unit_weight = complete_to_equal_parts(quiver)
         filled_sg = GradedSemigroup(filled, unit_weight)
         horizon = max(4, dimension(filled, unit_weight) + 1)

@@ -210,10 +210,3 @@ def test_localize_emits_zero_weight_quiver(tmp_path, capsys):
     assert sorted(doc["vertex"]) == ["a1", "a2", "a3", "a4", "a5", "a6"]
     assert all(value in (0, 1) for value in doc["vertex"].values())
 
-
-def test_rejects_nonpositive_jobs(tmp_path, capsys):
-    q, w = kronecker()
-    path = write_pair(tmp_path / "kronecker.json", q, w)
-    code, out = run_cli(capsys, "vertices", path, "--jobs", "0")
-    assert code == 1
-    assert "--jobs" in json.loads(out)["message"]

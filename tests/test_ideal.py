@@ -21,7 +21,9 @@ from torquiv import (
     osm_certify_degree3,
     osm_lattice_points,
 )
+from torquiv.corpus import acyclic_corpus_pairs
 from torquiv.errors import (
+    EmptyPolyhedron,
     EmptyWeight,
     InputError,
     NotBipartite,
@@ -226,6 +228,21 @@ def test_certify_allows_horizon_below_bound():
     assert dimension(q, w) + 1 < 4
     ok, violation = certify_degree_bound(sg, 3, dimension(q, w) + 1)
     assert ok and violation is None
+
+
+def test_generator_support_dimension_matches_polytope_dimension():
+    # the default certification horizon is the generator-support dimension + 1
+    for stem, q, w in acyclic_corpus_pairs():
+        assert GradedSemigroup(q, w).dimension() == dimension(q, w), stem
+    rng = random.Random(41)
+    for _ in range(40):
+        q, w = random_acyclic(rng, max_vertices=4, max_arrows=6, weight_bound=2)
+        sg = GradedSemigroup(q, w)
+        if sg.generators:
+            assert sg.dimension() == dimension(q, w), (q, w)
+        else:
+            with pytest.raises(EmptyPolyhedron):
+                sg.dimension()
 
 
 def test_certify_empty_semigroup_is_vacuous():

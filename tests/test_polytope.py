@@ -13,19 +13,25 @@ from torquiv import (
     euler_characteristic,
     facet_arrows,
     lattice_points,
+    primitive_cycles,
     recession_hilbert_basis,
     to_quiver_polytope,
     vertices,
 )
+from torquiv.corpus import corpus_pairs, crossed_ladder_pair
 from torquiv.errors import EmptyPolyhedron, EmptyWeight, UnboundedPolyhedron
-from torquiv.polytope import gadget_flow
+from torquiv.polytope import flow_tuple, gadget_flow
+from torquiv.quiver import components, is_acyclic
 
 from helpers import (
     affine_cycle_pair,
+    affine_rank,
+    hull_vertices,
     kronecker,
     loop_quiver,
     quiver_a,
     random_acyclic,
+    random_pair,
     two_cycle,
 )
 
@@ -70,6 +76,11 @@ def test_bounded_lattice_points():
 
     spec3 = BoundedFlowSpec(q, {"u": 1, "v": 1}, {"a": 0}, {"a": 2})
     assert bounded_lattice_points(spec3) == []
+
+    q4 = Quiver(["u", "v", "w", "z"], [Arrow("a", "u", "v")])
+    weight4 = {"u": -1, "v": 1, "w": 1, "z": -1}
+    spec4 = BoundedFlowSpec(q4, weight4, {"a": 0}, {"a": 2})
+    assert bounded_lattice_points(spec4) == []  # w and z have no arrows
 
 
 def test_flow_to_quiver_polytope_gadget():
@@ -138,6 +149,110 @@ def test_vertices_of_cone_is_origin():
     assert vertices(q, w) == [{"a": 0, "b": 0}]
     qd, wd = affine_cycle_pair(3)
     assert vertices(qd, wd) == [{a.id: 0 for a in qd.arrows}]
+
+
+def _random_pairs(seed, count):
+    """Seeded acyclic draws and draws with cycles, loops and loop-only
+    vertices, in turn."""
+    rng = random.Random(seed)
+    return [
+        random_pair(rng) if i % 2 else random_acyclic(rng, max_vertices=4, max_arrows=6, weight_bound=2)
+        for i in range(count)
+    ]
+
+
+def test_vertices_match_hull_oracle_on_random_pairs():
+    seen = {"nonempty": 0, "several": 0, "cyclic": 0, "loop_only_weighted": 0}
+    for q, w in _random_pairs(31, 240):
+        produced = vertices(q, w)
+        order = q.sorted_arrow_ids()
+        assert {flow_tuple(v, order) for v in produced} == hull_vertices(q, w), (q, w)
+        assert len(produced) == len({flow_tuple(v, order) for v in produced})
+        seen["nonempty"] += bool(produced)
+        seen["several"] += len(produced) > 1
+        seen["cyclic"] += bool(produced) and not is_acyclic(q)
+        seen["loop_only_weighted"] += any(
+            w[v] and all(a.is_loop() for a in q.arrows if v in (a.tail, a.head))
+            for v in q.vertices
+        )
+    assert seen["nonempty"] >= 60 and seen["several"] >= 20, seen
+    assert seen["cyclic"] >= 10 and seen["loop_only_weighted"] >= 10, seen
+
+
+def test_vertices_with_loops():
+    q = Quiver(
+        ["u", "v", "w"],
+        [Arrow("a", "u", "v"), Arrow("l", "w", "w"), Arrow("m", "u", "u")],
+    )
+    # w carries only a loop, so no flow meets a nonzero weight there
+    assert vertices(q, {"u": -1, "v": 0, "w": 1}) == []
+    assert vertices(q, {"u": -1, "v": 1, "w": 0}) == [{"a": 1, "l": 0, "m": 0}]
+    q1, w1 = loop_quiver()
+    assert vertices(q1, w1) == [{"a": 0}]
+    assert vertices(q1, {"v": 0}) == [{"a": 0}]
+
+
+def test_single_point_path_under_default_cap():
+    # the only flow on a 30-vertex path is 1 everywhere; a walk over the
+    # path's 2^29 sub-forests would exceed the default cap
+    names = [f"v{i}" for i in range(30)]
+    q = Quiver(names, [Arrow(f"a{i:02d}", names[i], names[i + 1]) for i in range(29)])
+    w = {v: 0 for v in names}
+    w["v0"], w["v29"] = -1, 1
+    assert vertices(q, w) == [{a.id: 1 for a in q.arrows}]
+    assert dimension(q, w) == 0
+
+
+def test_ladder_d4_vertices_in_a_small_search():
+    q, w = crossed_ladder_pair(4)
+    corners = vertices(q, w, max_nodes=10_000)
+    assert len(corners) == 30
+    for m in corners:
+        support = q.restricted_to_arrows([a for a, x in m.items() if x])
+        assert len(support.arrows) == len(q.vertices) - len(components(support))
+
+
+def test_vertices_scale_with_the_weight():
+    q, w = crossed_ladder_pair(3)
+    base = vertices(q, w, max_nodes=10_000)
+    for k in (1, 5, 20, 100):
+        scaled = vertices(q, {v: k * x for v, x in w.items()}, max_nodes=10_000)
+        assert scaled == [{a: k * x for a, x in m.items()} for m in base], k
+
+
+def _rank_facets(q, w):
+    """Facet groups the long way: face dimensions as ranks."""
+    order = q.sorted_arrow_ids()
+    verts = vertices(q, w)
+    cycles = primitive_cycles(q)
+    rays = [c.epsilon(q) for c in cycles]
+    dim = affine_rank(order, verts, rays)
+    groups = {}
+    for a in order:
+        face_verts = tuple(i for i, m in enumerate(verts) if m[a] == 0)
+        if not face_verts:
+            continue
+        face_rays = tuple(i for i, c in enumerate(cycles) if a not in c.arrow_ids)
+        face = affine_rank(order, [verts[i] for i in face_verts], [rays[i] for i in face_rays])
+        if face == dim - 1:
+            groups.setdefault((face_verts, face_rays), []).append(a)
+    return dim, sorted(groups.values(), key=lambda g: g[0])
+
+
+def test_dimension_and_facets_match_rank_oracle():
+    pairs = [(q, w) for _stem, q, w in corpus_pairs()] + _random_pairs(37, 200)
+    checked = cyclic = 0
+    for q, w in pairs:
+        if not vertices(q, w):
+            with pytest.raises(EmptyPolyhedron):
+                dimension(q, w)
+            continue
+        dim, groups = _rank_facets(q, w)
+        assert dimension(q, w) == dim, (q, w)
+        assert facet_arrows(q, w) == groups, (q, w)
+        checked += 1
+        cyclic += not is_acyclic(q)
+    assert checked >= 80 and cyclic >= 15, (checked, cyclic)
 
 
 def test_dimension():
