@@ -10,7 +10,10 @@ semigroup and the degree of relations between cycle products on strongly
 connected quivers with zero weight.
 
 Flows travel as dicts at the API boundary and as tuples (ordered by sorted
-arrow id) internally.
+arrow id) inside it.  The connectivity scans pack each flow into one int,
+a field per coordinate with a guard bit on top, so a divisibility test is
+one subtraction and one mask (SIMD within a register; Lamport, "Multiple
+byte processing with full-word instructions", CACM 1975).
 """
 
 import itertools
@@ -108,9 +111,6 @@ class GradedSemigroup:
     def index(self, gen: tuple) -> int:
         return self._gen_index[gen]
 
-    def divisor_indices(self, tup: tuple) -> list:
-        return [i for i, g in enumerate(self.generators) if _leq(g, tup)]
-
     def peel(self, tup: tuple, count: int):
         """Greedy factorization into `count` generators, lex-smallest first.
 
@@ -203,56 +203,64 @@ def divisor_graph(semigroup: GradedSemigroup, element: dict, degree: int) -> Div
     for i, j in itertools.combinations(range(len(nodes)), 2):
         pair = _addt(nodes[i], nodes[j])
         if _leq(pair, tup):
-            if __debug__:
-                rest = _sub(tup, pair)
-                if degree == 2:
-                    assert not any(rest)
-                else:
-                    assert semigroup.peel(rest, degree - 2) is not None
             edges.append((i, j))
     comps = _components_of(len(nodes), edges)
     return DivisorGraph(tup, degree, nodes, tuple(edges), tuple(comps))
 
 
-def _lazy_connected(nodes: list, adjacent) -> bool:
-    """Union-find connectivity, testing pairs only until the answer is known.
+def _pack(values, width: int) -> int:
+    """The values, each below 2**width, as one int: fields of width + 1
+    bits, the first value lowest, the top bit of each field its guard.
 
-    `adjacent(i, j)` is consulted lazily: pairs already known to be in the
-    same component are skipped, and the scan stops as soon as a single
-    component remains.  Used on the certification hot path, where almost
-    every graph is connected and the full edge list is never needed.
+    With `guards` the packed (2**width, ...), `((y | guards) - x) & guards
+    == guards` exactly when x <= y in every field: a field that goes
+    negative borrows from its own guard bit, and no borrow gets past it.
     """
-    n = len(nodes)
-    if n <= 1:
-        return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    remaining = n
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            if adjacent(i, j):
-                parent[max(ri, rj)] = min(ri, rj)
-                remaining -= 1
-                if remaining == 1:
-                    return True
-    return remaining == 1
+    field = width + 1
+    packed = 0
+    for x in reversed(values):
+        packed = (packed << field) | x
+    return packed
 
 
-def _element_connected(semigroup: GradedSemigroup, tup: tuple) -> bool:
-    """Fast connectivity of an element's divisor graph (no edge list)."""
-    nodes = [g for g in semigroup.generators if _leq(g, tup)]
-    return _lazy_connected(
-        nodes, lambda i, j: _leq(_addt(nodes[i], nodes[j]), tup)
-    )
+def _divisors_connected(packed: list, target: int, guards: int) -> bool:
+    """Is the divisor graph connected?  Its nodes are the packed candidates
+    that fit under the guarded target field by field, its edges the pairs
+    whose sum fits; each pair sum must stay below 2**width in every field.
+
+    Breadth-first: each reached node, in the order reached, splits the
+    unreached ones into its neighbours and the rest.
+    """
+    nodes = [g for g in packed if (target - g) & guards == guards]
+    reached, rest = nodes[:1], nodes[1:]
+    for node in reached:  # grows while it is read
+        if not rest:
+            break
+        slack = target - node
+        far = []
+        for g in rest:
+            if (slack - g) & guards == guards:
+                reached.append(g)
+            else:
+                far.append(g)
+        rest = far
+    return not rest
+
+
+def _disconnected(semigroup: GradedSemigroup, k: int):
+    """The degree-k elements (k >= 2) whose divisor graph has more than one
+    component, in piece order.  Fields are w = (k * largest generator
+    coordinate).bit_length() bits under the guard: the semigroup is
+    generated in degree one, so every degree-k coordinate, and every sum
+    of two generators, is below 2**w.
+    """
+    top = max(itertools.chain.from_iterable(semigroup.generators), default=0)
+    width = (k * top).bit_length()
+    guards = _pack((1 << width,) * len(semigroup.arrow_ids), width)
+    packed = [_pack(g, width) for g in semigroup.generators]
+    for tup in semigroup.graded_piece(k):
+        if not _divisors_connected(packed, _pack(tup, width) | guards, guards):
+            yield tup
 
 
 def _representative(semigroup: GradedSemigroup, tup: tuple, degree: int, first: tuple) -> tuple:
@@ -268,6 +276,9 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     For each element whose divisor graph splits into c > 1 components the
     ideal needs exactly c - 1 generators; they pair a representative
     factorization of the first component against one from each other.
+    Split elements are found by the packed test of `_disconnected` (a field
+    of (k * largest generator coordinate).bit_length() bits and a guard bit
+    per arrow); only those get a tuple-level `divisor_graph`.
     """
     if max_degree < 2:
         raise InputError("max_degree must be at least 2")
@@ -275,9 +286,7 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     if not semigroup.generators:
         return out
     for k in range(2, max_degree + 1):
-        for tup in semigroup.graded_piece(k):
-            if _element_connected(semigroup, tup):
-                continue
+        for tup in _disconnected(semigroup, k):
             graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
             reps = [
                 _representative(semigroup, tup, k, graph.nodes[comp[0]])
@@ -294,7 +303,9 @@ def certify_degree_bound(semigroup: GradedSemigroup, bound: int, horizon: int | 
     Scans degrees in (bound, horizon]; the default horizon is
     max(bound + 1, polytope dimension + 1).  A horizon at or below the
     bound leaves nothing to scan and certifies vacuously.  Returns
-    (True, None) or (False, first violation).
+    (True, None) or (False, first violation).  Each element is screened by
+    the packed test of `_disconnected`, in fields of (k * largest generator
+    coordinate).bit_length() bits under a guard bit.
     """
     if bound < 1:
         raise InputError("bound must be positive")
@@ -305,9 +316,7 @@ def certify_degree_bound(semigroup: GradedSemigroup, bound: int, horizon: int | 
     elif horizon < 1:
         raise InputError("horizon must be positive")
     for k in range(bound + 1, horizon + 1):
-        for tup in semigroup.graded_piece(k):
-            if _element_connected(semigroup, tup):
-                continue
+        for tup in _disconnected(semigroup, k):
             graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
             grouped = tuple(
                 tuple(graph.nodes[i] for i in comp) for comp in graph.components
@@ -533,49 +542,39 @@ def _osm_piece(quiver: Quiver, sources: list, sinks: list, k: int, budget: _Node
         comp(0, k)
 
     fill_source(0)
+    del fill_source  # a recursive closure is a reference cycle: unbind it so `results` frees
     results.sort()
     return results
 
 
 def _osm_certified(quiver: Quiver, bound: int, horizon: int, budget: _NodeBudget) -> bool:
-    """Divisor-graph connectivity on the one-sided-matching semigroup."""
+    """Divisor-graph connectivity on the one-sided-matching semigroup.
+
+    The nodes of a degree-k element s are the matchings m <= s that meet
+    every sink that s fills to k; two nodes are joined when m + m' <= s and
+    s exceeds m + m' by at most k - 2 at every sink.  Both are the packed
+    test of `_divisors_connected`, with one more field per sink: 1 minus
+    the sink degree for a matching, k minus it for s.  Fields are
+    k.bit_length() bits under the guard, as every field of s is at most k
+    and every field of a pair of matchings at most 2 (bound >= 1).
+    """
     sources, sinks = _osm_parts(quiver)
-    if not sources:
-        return True
     arrow_ids = quiver.sorted_arrow_ids()
-    matchings = [
-        tuple(m[a] for a in arrow_ids) for m in osm_lattice_points(quiver)
-    ]
-    heads = {a.id: a.head for a in quiver.arrows}
+    head_pos = [sinks.index(quiver.arrow(a).head) for a in arrow_ids]
 
-    def sink_degrees(tup: tuple) -> dict:
-        deg = {w: 0 for w in sinks}
-        for aid, val in zip(arrow_ids, tup):
-            if val:
-                deg[heads[aid]] += val
-        return deg
+    def extended(tup: tuple, top: int) -> tuple:  # tup, then top - degree at each sink
+        slack = [top] * len(sinks)
+        for i, val in zip(head_pos, tup):
+            slack[i] -= val
+        return tup + tuple(slack)
 
+    matchings = [tuple(m[a] for a in arrow_ids) for m in osm_lattice_points(quiver)]
     for k in range(bound + 1, horizon + 1):
+        width = k.bit_length()
+        guards = _pack((1 << width,) * (len(arrow_ids) + len(sinks)), width)
+        packed = [_pack(extended(m, 1), width) for m in matchings]
         for s in _osm_piece(quiver, sources, sinks, k, budget):
-            deg_s = sink_degrees(s)
-            full = {w for w, d in deg_s.items() if d == k}
-            nodes = []
-            for m in matchings:
-                if not _leq(m, s):
-                    continue
-                deg_m = sink_degrees(m)
-                if any(deg_m[w] == 0 for w in full):
-                    continue
-                nodes.append(m)
-
-            def adjacent(i, j):
-                pair = _addt(nodes[i], nodes[j])
-                if not _leq(pair, s):
-                    return False
-                deg_pair = sink_degrees(pair)
-                return all(deg_s[w] - deg_pair[w] <= k - 2 for w in sinks)
-
-            if not _lazy_connected(nodes, adjacent):
+            if not _divisors_connected(packed, _pack(extended(s, k), width) | guards, guards):
                 return False
     return True
 

@@ -176,6 +176,7 @@ def _integer_walk(
         hi[h] += cap
 
     assign(0)
+    del assign  # a recursive closure is a reference cycle: unbind it so the walk frees on return
     return results
 
 

@@ -305,3 +305,70 @@ def rewriting_connected(semigroup, binomials, max_degree):
             if len(seen) != len(facts):
                 return False
     return True
+
+
+# -- tuple-level one-sided-matching certificate ---------------------------------
+#
+# The divisor-graph scan of the one-sided-matching semigroup written on flow
+# tuples and sink-degree dicts, with every edge tested: the reference for the
+# packed-integer scan in torquiv.ideal.
+
+
+def osm_certified_reference(quiver, bound, horizon, max_nodes=1_000_000):
+    """Are the divisor graphs of all one-sided-matching elements in degrees
+    (bound, horizon] connected?"""
+    from torquiv.ideal import _osm_parts, _osm_piece, osm_lattice_points
+    from torquiv.polytope import _NodeBudget
+
+    sources, sinks = _osm_parts(quiver)
+    arrow_ids = quiver.sorted_arrow_ids()
+    heads = {a.id: a.head for a in quiver.arrows}
+    matchings = [tuple(m[a] for a in arrow_ids) for m in osm_lattice_points(quiver)]
+
+    def fits(small, big):
+        return all(x <= y for x, y in zip(small, big))
+
+    def sink_degrees(tup):
+        deg = {w: 0 for w in sinks}
+        for aid, val in zip(arrow_ids, tup):
+            if val:
+                deg[heads[aid]] += val
+        return deg
+
+    budget = _NodeBudget(max_nodes)
+    for k in range(bound + 1, horizon + 1):
+        for s in _osm_piece(quiver, sources, sinks, k, budget):
+            deg_s = sink_degrees(s)
+            full = {w for w, d in deg_s.items() if d == k}
+            nodes = [
+                m for m in matchings
+                if fits(m, s) and all(sink_degrees(m)[w] for w in full)
+            ]
+            reached = set(range(min(1, len(nodes))))
+            todo = list(reached)
+            while todo:
+                i = todo.pop()
+                for j in range(len(nodes)):
+                    if j in reached:
+                        continue
+                    pair = tuple(x + y for x, y in zip(nodes[i], nodes[j]))
+                    deg_pair = sink_degrees(pair)
+                    if fits(pair, s) and all(deg_s[w] - deg_pair[w] <= k - 2 for w in sinks):
+                        reached.add(j)
+                        todo.append(j)
+            if len(reached) < len(nodes):
+                return False
+    return True
+
+
+def random_bipartite(rng: random.Random, max_sources=3, max_sinks=4, max_arrows=8):
+    """Sources s*, sinks t*, arrows drawn with repetition (so parallel
+    arrows occur); a source or sink that no arrow meets is an isolated
+    vertex."""
+    n_src = rng.randint(1, max_sources)
+    n_snk = rng.randint(1, max_sinks)
+    arrows = [
+        Arrow(f"a{k}", f"s{rng.randrange(n_src)}", f"t{rng.randrange(n_snk)}")
+        for k in range(rng.randint(1, max_arrows))
+    ]
+    return Quiver([f"s{i}" for i in range(n_src)] + [f"t{j}" for j in range(n_snk)], arrows)

@@ -22,6 +22,8 @@ from torquiv import (
     osm_lattice_points,
 )
 from torquiv.corpus import acyclic_corpus_pairs
+from torquiv.ideal import _disconnected, _osm_certified
+from torquiv.polytope import _NodeBudget
 from torquiv.errors import (
     EmptyPolyhedron,
     EmptyWeight,
@@ -37,8 +39,10 @@ from helpers import (
     all_factorizations,
     complete_bipartite,
     kronecker,
+    osm_certified_reference,
     quiver_a,
     random_acyclic,
+    random_bipartite,
     rewriting_connected,
     two_cycle,
 )
@@ -126,6 +130,109 @@ def test_k33_all_ones_splits_in_two():
         for i in comp:
             total = [x + y for x, y in zip(total, graph.nodes[i])]
         assert tuple(total) == graph.element
+
+
+# -- the packed divisor-graph scan, against tuple-level divisor graphs --------
+
+
+def _scan_cases():
+    """The acyclic corpus and 200 seeded random pairs with 1 to 12 generators."""
+    cases = [(stem, GradedSemigroup(q, w)) for stem, q, w in acyclic_corpus_pairs()]
+    rng = random.Random(3061)
+    drawn = 0
+    while drawn < 200:
+        q, w = random_acyclic(rng, max_vertices=5, max_arrows=7, weight_bound=3)
+        sg = GradedSemigroup(q, w)
+        if 1 <= len(sg.generators) <= 12:
+            cases.append((f"random{drawn}", sg))
+            drawn += 1
+    return cases
+
+
+def _oracle(sg, k):
+    """From the tuple-level divisor graphs of the degree-k elements: the
+    split ones as (element, component count) in piece order, and the
+    remainders t - g - h over all edges g, h of the graph of each t."""
+    split, rests = [], set()
+    for tup in sg.graded_piece(k):
+        graph = divisor_graph(sg, sg.flow_dict(tup), k)
+        if len(graph.components) > 1:
+            split.append((tup, len(graph.components)))
+        for i, j in graph.edges:
+            rests.add(tuple(t - x - y for t, x, y in zip(tup, graph.nodes[i], graph.nodes[j])))
+    return split, rests
+
+
+@pytest.fixture(scope="module")
+def oracle_by_degree():
+    """Per scan case: its stem, semigroup, dimension, and `_oracle` for each
+    degree from 2 to max(4, dimension + 1)."""
+    out = []
+    for stem, sg in _scan_cases():
+        dim = sg.dimension()
+        out.append((stem, sg, dim, {k: _oracle(sg, k) for k in range(2, max(4, dim + 1) + 1)}))
+    return out
+
+
+def test_edges_of_divisor_graphs_leave_factorable_remainders(oracle_by_degree):
+    # an edge g + h <= t is a relation step: t - g - h is 0 in degree 2 and
+    # a product of k - 2 generators above
+    for stem, sg, _dim, oracle in oracle_by_degree:
+        assert oracle[2][1] <= {tuple(0 for _ in sg.arrow_ids)}, stem
+        for k in (3, 4):
+            for rest in oracle[k][1]:
+                assert sg.peel(rest, k - 2) is not None, (stem, rest)
+
+
+def test_packed_scan_matches_divisor_graph_oracle(oracle_by_degree):
+    split_seen = 0
+    for stem, sg, dim, oracle in oracle_by_degree:
+        for k in range(2, dim + 2):
+            split = oracle[k][0]
+            assert list(_disconnected(sg, k)) == [t for t, _ in split], (stem, k)
+            split_seen += len(split)
+    assert split_seen > 100
+
+
+def test_certify_and_minimal_generators_match_oracle(oracle_by_degree):
+    violations = {1: 0, 2: 0, 3: 0}
+    for stem, sg, dim, oracle in oracle_by_degree:
+        split = {k: pair[0] for k, pair in oracle.items()}
+        for bound in (1, 2, 3):
+            horizon = max(bound + 1, dim + 1)
+            first = next(
+                ((k, split[k][0][0]) for k in range(bound + 1, horizon + 1) if split[k]),
+                None,
+            )
+            ok, violation = certify_degree_bound(sg, bound)
+            assert ok == (first is None), (stem, bound)
+            if first is not None:
+                violations[bound] += 1
+                assert (violation.degree, violation.element) == first, (stem, bound)
+                graph = divisor_graph(sg, sg.flow_dict(first[1]), first[0])
+                assert len(violation.components) == len(graph.components)
+        gens = minimal_generators(sg, 4)
+        for k in (2, 3, 4):
+            images = [g.image for g in gens if g.degree == k]
+            assert images == [t for t, count in split[k] for _ in range(count - 1)], (stem, k)
+    assert violations[1] > 0 and violations[2] > 0 and violations[3] == 0
+
+
+def test_packed_scan_at_field_boundaries():
+    # Kronecker (-m, m) reaches coordinate k*m in degree k: 15 = 2**4 - 1
+    # (m = 3, k = 5) fills a 4-bit field, and 8 and 16 (m = 4 or 8) each
+    # need one bit more than the value below them
+    cases = [kronecker(-m, m) for m in (3, 4, 7, 8)]
+    for m in (1, 3, 4):
+        cases.append((Quiver(["s", "t"], [Arrow("a", "s", "t")]), {"s": -m, "t": m}))
+    for q, w in cases:
+        sg = GradedSemigroup(q, w)
+        for k in range(2, 6):
+            assert list(_disconnected(sg, k)) == [t for t, _ in _oracle(sg, k)[0]]
+    # the m + 1 generators (i, m - i) of a Kronecker pair: in degree 2 only
+    # (i, 2m - i) for i in {0, 1, 2m - 1, 2m} has a single factorization
+    sg = GradedSemigroup(*kronecker(-8, 8))
+    assert len(list(_disconnected(sg, 2))) == 2 * 8 + 1 - 4
 
 
 # -- minimal generating systems -----------------------------------------------
@@ -377,13 +484,27 @@ def test_osm_certify_random_bipartite():
                 arrows.append(Arrow(f"a{k}", s, sinks[j]))
                 k += 1
         q = Quiver(sources + sinks, arrows)
-        # the call itself cross-checks the direct route against the
-        # completed-quiver route and would raise on any disagreement
         assert osm_certify_degree3(q, horizon=4) is True
         ran += 1
         if ran >= 10:
             break
     assert ran >= 10
+
+
+def test_osm_packed_scan_matches_tuple_reference():
+    # parallel arrows and isolated vertices included; degree 4 at most.  The
+    # sink conditions decide the verdict of K(2,3) at bound 2, for one.
+    rng = random.Random(6180)
+    cases = [complete_bipartite(m, n)[0] for m, n in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3))]
+    cases += [random_bipartite(rng) for _ in range(120)]
+    verdicts = []
+    for q in cases:
+        for bound in (1, 2, 3):
+            verdict = _osm_certified(q, bound, 4, _NodeBudget(1_000_000))
+            assert verdict == osm_certified_reference(q, bound, 4), (q, bound)
+            verdicts.append(verdict)
+    assert verdicts.count(False) >= 5
+    assert verdicts.count(True) >= 100
 
 
 # -- affine relation degree ------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import random
 import warnings
 
@@ -210,6 +211,21 @@ def test_ladder_d4_vertices_in_a_small_search():
     for m in corners:
         support = q.restricted_to_arrows([a for a, x in m.items() if x])
         assert len(support.arrows) == len(q.vertices) - len(components(support))
+
+
+def test_integer_walk_leaves_no_reference_cycles():
+    # the points a walk found free when the caller drops them, not at the
+    # next full collection, so a long run of jobs does not grow its peak
+    # memory with the garbage of earlier ones
+    q, w = crossed_ladder_pair(3)
+    gc.collect()
+    gc.disable()
+    try:
+        lattice_points(q, w, 2)
+        vertices(q, w)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_vertices_scale_with_the_weight():
