@@ -4,11 +4,13 @@ Four interlocking pieces:
 
 * enumeration of the loopless 2-vertex-connected multigraphs with all
   valencies >= 3 and a given cycle rank, and of the contraction-maximal
-  (equivalently 3-regular) ones among them;
+  ones among them, which are exactly the 3-regular ones;
 * enumeration of the acyclic quivers built on those graphs by orienting
-  edges or subdividing them with sinks, and of the strongly connected
-  quivers that stay strongly connected after deleting any single arrow
-  (the zero-weight side), both up to quiver isomorphism;
+  edges or subdividing them with sinks, one choice tuple per orbit of the
+  graph's automorphisms, and of the strongly connected quivers that stay
+  strongly connected after deleting any single arrow (the zero-weight
+  side), from arrow-count compositions pruned by in- and outdegree; both
+  lists hold one representative per quiver isomorphism class;
 * the normal fan of a 2-dimensional pair in spanning-forest coordinates,
   and the identification of its toric surface by ray count, double-checked
   by a lattice-automorphism match against hard-coded reference fans;
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from .errors import (
@@ -37,6 +39,7 @@ from .errors import (
 )
 from .multigraph import (
     Multigraph,
+    automorphisms,
     canonical_key,
     directed_canonical_key,
     from_canonical_key,
@@ -50,7 +53,6 @@ from .quiver import (
     euler_characteristic,
     is_acyclic,
     is_strongly_connected,
-    is_theta_stable,
 )
 from .reductions import in_rd_form, is_prime, is_tight, skeleton, tighten
 
@@ -89,31 +91,29 @@ def _labeled_graphs_with_degrees(degrees: tuple):
     search hard."""
     n = len(degrees)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rem = list(degrees)
-    chosen: dict = {}
+    yield from _fill_pairs(pairs, list(degrees), {}, 0)
 
-    def rec(p: int):
-        if p == len(pairs):
-            if rem[n - 1] == 0:
-                yield dict(chosen)
-            return
-        i, j = pairs[p]
-        if j == n - 1 and i < n - 1:
-            options = (rem[i],) if rem[i] <= rem[j] else ()
-        else:
-            options = range(min(rem[i], rem[j]) + 1)
-        for m in options:
-            if m:
-                chosen[(i, j)] = m
-                rem[i] -= m
-                rem[j] -= m
-            yield from rec(p + 1)
-            if m:
-                rem[i] += m
-                rem[j] += m
-                del chosen[(i, j)]
 
-    yield from rec(0)
+def _fill_pairs(pairs: list, rem: list, chosen: dict, p: int):
+    if p == len(pairs):
+        if rem[-1] == 0:
+            yield dict(chosen)
+        return
+    i, j = pairs[p]
+    if j == len(rem) - 1:
+        options = (rem[i],) if rem[i] <= rem[j] else ()
+    else:
+        options = range(min(rem[i], rem[j]) + 1)
+    for m in options:
+        if m:
+            chosen[(i, j)] = m
+            rem[i] -= m
+            rem[j] -= m
+        yield from _fill_pairs(pairs, rem, chosen, p + 1)
+        if m:
+            rem[i] += m
+            rem[j] += m
+            del chosen[(i, j)]
 
 
 def _graph_from_multiplicities(n: int, chosen: dict) -> Multigraph:
@@ -124,56 +124,41 @@ def _graph_from_multiplicities(n: int, chosen: dict) -> Multigraph:
     return Multigraph(verts, edges)
 
 
+def _skeleton_keys(degree_sequences) -> list:
+    """Sorted canonical keys of the 2-connected loopless multigraphs with
+    one of the given degree sequences."""
+    keys: set = set()
+    for degrees in degree_sequences:
+        if degrees[0] > sum(degrees) - degrees[0]:
+            continue  # the top vertex could not avoid loops
+        for chosen in _labeled_graphs_with_degrees(degrees):
+            g = _graph_from_multiplicities(len(degrees), chosen)
+            if g.is_two_connected():
+                keys.add(canonical_key(g))
+    return sorted(keys)
+
+
 def enumerate_skeletons(d: int) -> list[Multigraph]:
     """All loopless 2-vertex-connected multigraphs with every valency >= 3
     and cycle rank d, one representative per isomorphism class, sorted by
     canonical key.  Such a graph has at most 2d-2 vertices and 3d-3 edges;
     supported for 2 <= d <= 5."""
     _check_rank(d, 2)
-    keys: set = set()
+    keys: list = []
     for n in range(2, 2 * d - 1):
         e = n + d - 1
-        for degrees in _degree_sequences(2 * e, n, 2 * e):
-            if degrees[0] > 2 * e - degrees[0]:
-                continue  # the top vertex could not avoid loops
-            for chosen in _labeled_graphs_with_degrees(degrees):
-                g = _graph_from_multiplicities(n, chosen)
-                if g.is_two_connected():
-                    keys.add(canonical_key(g))
+        keys += _skeleton_keys(_degree_sequences(2 * e, n, 2 * e))
     return [from_canonical_key(k) for k in sorted(keys)]
 
 
 def enumerate_maximal_skeletons(d: int) -> list[Multigraph]:
     """The members of enumerate_skeletons(d) that no other member contracts
-    onto.  Only contracting a multiplicity-1 edge can stay inside the list
-    (other contractions drop loops and lower the cycle rank), so one-step
-    predecessors decide maximality.  The result is cross-checked against
-    the 3-regular members; the two characterizations must agree."""
+    onto, sorted by canonical key.  These are exactly the 3-regular members
+    (2d-2 vertices, 3d-3 edges), so only that degree sequence is generated;
+    the tests check the contraction characterization against it."""
     _check_rank(d, 2)
-    base = enumerate_skeletons(d)
-    keys = {canonical_key(g) for g in base}
-    dominated: set = set()
-    for g in base:
-        done_pairs: set = set()
-        for idx, (u, v) in enumerate(g.edges):
-            if (u, v) in done_pairs:
-                continue
-            done_pairs.add((u, v))
-            if g.multiplicity(u, v) != 1:
-                continue
-            ck = canonical_key(g.contract_edge(idx))
-            if ck in keys:
-                dominated.add(ck)
-    maximal = sorted(keys - dominated)
-    regular = sorted(
-        canonical_key(g) for g in base if all(g.degree(v) == 3 for v in g.vertices)
-    )
-    if maximal != regular:
-        raise AssertionError(
-            "internal inconsistency: contraction-maximality and 3-regularity "
-            "give different skeleton lists"
-        )
-    return [from_canonical_key(k) for k in maximal]
+    keys = _skeleton_keys([(3,) * (2 * d - 2)])
+    return [from_canonical_key(k) for k in keys]
 
 
 # -- quivers on skeletons ------------------------------------------------------
@@ -237,29 +222,86 @@ def build_Rd_quiver(graph: Multigraph, choices) -> Quiver:
     return built
 
 
+_CHOICES = ("forward", "backward", "sink")
+_REVERSED = (1, 0, 2)  # the choice index after swapping the ends of an edge
+
+
+def _is_acyclic_orientation(n: int, arcs) -> bool:
+    """Do the (tail, head) index pairs on vertices 0..n-1 close no cycle?
+    Sinks are peeled off until none is left."""
+    succ = [0] * n
+    for t, h in arcs:
+        succ[t] |= 1 << h
+    left = (1 << n) - 1
+    while left:
+        sink = next((v for v in range(n) if left >> v & 1 and not succ[v] & left), None)
+        if sink is None:
+            return False
+        left &= ~(1 << sink)
+    return True
+
+
+def _orbit_minimal_choices(graph: Multigraph):
+    """The per-edge choice tuples (indices into _CHOICES) that are
+    lexicographically least in their orbit under the automorphisms of the
+    graph, in product order.
+
+    An automorphism moves a class of parallel edges onto another one and
+    turns forward into backward when it reverses the u <= v order of the
+    pair; the edges within a class are interchangeable, so a least tuple is
+    non-decreasing on every class."""
+    classes = sorted(set(graph.edges))
+    where = {pair: i for i, pair in enumerate(classes)}
+    sizes = [graph.edges.count(pair) for pair in classes]
+    verts = graph.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    moves: dict = {}
+    for perm in automorphisms(graph):
+        # move[j] = (i, flip): class i lands on class j, reversed if flip
+        move = [None] * len(classes)
+        for i, (u, v) in enumerate(classes):
+            a, b = verts[perm[index[u]]], verts[perm[index[v]]]
+            move[where[(a, b) if a <= b else (b, a)]] = (i, a > b)
+        moves[tuple(move)] = None
+    moves.pop(tuple((i, False) for i in range(len(classes))))
+    for choice in product(*(combinations_with_replacement(range(3), s) for s in sizes)):
+        if not any(_image_below(choice, move) for move in moves):
+            yield sum(choice, ())
+
+
+def _image_below(choice: tuple, move: tuple) -> bool:
+    """Is the image of the per-class choice tuple under the move
+    lexicographically smaller than the tuple itself?"""
+    for mine, (i, flip) in zip(choice, move):
+        image = tuple(sorted(_REVERSED[c] for c in choice[i])) if flip else choice[i]
+        if image != mine:
+            return image < mine
+    return False
+
+
 def enumerate_Rd(d: int) -> list[Quiver]:
     """Acyclic quivers built on the cycle-rank-d skeletons by per-edge
     orientation/sink choices, one representative per isomorphism class,
-    sorted by canonical key.  d = 1 is the special one-element case of the
+    sorted by canonical key.  Two choice tuples on one skeleton give
+    isomorphic quivers exactly when an automorphism of the skeleton moves
+    one onto the other, and different skeletons give different quivers, so
+    each skeleton contributes the least tuple of every orbit whose
+    orientation is acyclic.  d = 1 is the special one-element case of the
     two-arrow quiver."""
     _check_rank(d, 1)
     if d == 1:
         return [kronecker_quiver()]
     found: dict = {}
     for graph in enumerate_skeletons(d):
-        for choices in product(("forward", "backward", "sink"), repeat=len(graph.edges)):
-            try:
-                built = build_Rd_quiver(graph, choices)
-            except UnsupportedCase:
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        ends = [(index[u], index[v]) for u, v in graph.edges]
+        for choice in _orbit_minimal_choices(graph):
+            arcs = [e if c == 0 else e[::-1] for e, c in zip(ends, choice) if c != 2]
+            if not _is_acyclic_orientation(len(graph.vertices), arcs):
                 continue
-            key = quiver_key(built)
-            if key not in found:
-                found[key] = built
-    out = [found[k] for k in sorted(found)]
-    if __debug__:
-        for q in out:
-            assert is_prime(q) and in_rd_form(q) and euler_characteristic(q) == d
-    return out
+            built = build_Rd_quiver(graph, [_CHOICES[c] for c in choice])
+            found.setdefault(quiver_key(built), built)
+    return [found[k] for k in sorted(found)]
 
 
 # -- the zero-weight lists -----------------------------------------------------
@@ -268,10 +310,7 @@ def enumerate_Rd(d: int) -> list[Quiver]:
 def _all_components_strong(quiver: Quiver) -> bool:
     for comp in components(quiver):
         sub = quiver.induced_on_vertices(comp)
-        strong = is_strongly_connected(sub)
-        if __debug__:
-            assert strong == is_theta_stable(sub, {v: 0 for v in sub.vertices})
-        if not strong:
+        if not is_strongly_connected(sub):
             return False
     return True
 
@@ -287,40 +326,50 @@ def _strong_everywhere(quiver: Quiver) -> bool:
     )
 
 
+def _affine_compositions(n: int, e: int):
+    """Arrow counts on the ordered pairs (i, j), i != j, of 0..n-1, listed
+    row by row, that sum to e and give every vertex in- and outdegree >= 2,
+    in lexicographic order.  A row's outdegree is checked when its last
+    pair is filled, a branch stops once fewer than two arrows are left for
+    each later row, and the indegrees are checked at the leaf."""
+    yield from _spread(n, [0] * (n * (n - 1)), 0, e, 0)
+
+
+def _spread(n: int, counts: list, p: int, left: int, row_out: int):
+    if p == len(counts):
+        indeg = [0] * n
+        for q, m in enumerate(counts):
+            i, r = divmod(q, n - 1)
+            indeg[r + (r >= i)] += m
+        if min(indeg) >= 2:
+            yield tuple(counts)
+        return
+    row, col = divmod(p, n - 1)
+    row_end = col == n - 2
+    low = max(0, 2 - row_out) if row_end else 0
+    if p == len(counts) - 1:
+        low = max(low, left)
+    for m in range(low, left - 2 * (n - 1 - row) + 1):
+        counts[p] = m
+        yield from _spread(n, counts, p + 1, left - m, 0 if row_end else row_out + m)
+    counts[p] = 0
+
+
 def enumerate_affine_Rdd(d: int) -> list[Quiver]:
     """Prime quivers of cycle rank d such that every component of the
     quiver and of every single-arrow deletion is strongly connected, one
     representative per isomorphism class, sorted by canonical key.  Such a
-    quiver has every in- and outdegree >= 2 and at most d-1 vertices;
-    supported for 1 <= d <= 5."""
+    quiver has every in- and outdegree >= 2 and at most d-1 vertices, so
+    only arrow-count compositions with those degrees are built; supported
+    for 1 <= d <= 5."""
     _check_rank(d, 1)
     if d == 1:
         return [loop_quiver()]
     found: dict = {}
     for n in range(2, d):
-        e = n + d - 1
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        counts = [0] * len(pairs)
-
-        def spread(p: int, left: int):
-            if p == len(pairs):
-                if left == 0:
-                    yield tuple(counts)
-                return
-            for m in range(left + 1):
-                counts[p] = m
-                yield from spread(p + 1, left - m)
-            counts[p] = 0
-
-        for assignment in spread(0, e):
-            outdeg = [0] * n
-            indeg = [0] * n
-            for (i, j), m in zip(pairs, assignment):
-                outdeg[i] += m
-                indeg[j] += m
-            if any(x < 2 for x in outdeg) or any(x < 2 for x in indeg):
-                continue
-            verts = [f"v{i}" for i in range(n)]
+        verts = [f"v{i}" for i in range(n)]
+        for assignment in _affine_compositions(n, n + d - 1):
             arrows = []
             for (i, j), m in zip(pairs, assignment):
                 for c in range(m):
@@ -330,9 +379,7 @@ def enumerate_affine_Rdd(d: int) -> list[Quiver]:
                 continue
             if not _strong_everywhere(candidate):
                 continue
-            key = quiver_key(candidate)
-            if key not in found:
-                found[key] = candidate
+            found.setdefault(quiver_key(candidate), candidate)
     return [found[k] for k in sorted(found)]
 
 

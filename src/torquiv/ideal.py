@@ -459,6 +459,7 @@ def osm_lattice_points(quiver: Quiver) -> list:
             del picked[v]
 
     extend(0, {}, set())
+    del extend  # a recursive closure is a reference cycle: unbind it so `out` frees
     out.sort(key=lambda f: tuple(f[a] for a in arrow_ids))
     return out
 
@@ -515,34 +516,31 @@ def _osm_piece(quiver: Quiver, sources: list, sinks: list, k: int, budget: _Node
         if si == len(sources):
             results.append(tuple(current))
             return
+        if out_arrows[sources[si]]:  # a source with no arrows kills every degree-k element
+            comp(si, 0, k)
+
+    def comp(si: int, ai: int, remaining: int):
         arrows = out_arrows[sources[si]]
-
-        def comp(ai: int, remaining: int):
-            if ai == len(arrows) - 1:
-                arrow = arrows[ai]
-                if sink_load[arrow.head] + remaining > sink_cap[arrow.head]:
-                    return
-                current[pos[arrow.id]] = remaining
-                sink_load[arrow.head] += remaining
-                fill_source(si + 1)
-                sink_load[arrow.head] -= remaining
-                current[pos[arrow.id]] = 0
+        arrow = arrows[ai]
+        if ai == len(arrows) - 1:
+            if sink_load[arrow.head] + remaining > sink_cap[arrow.head]:
                 return
-            arrow = arrows[ai]
-            top = min(remaining, sink_cap[arrow.head] - sink_load[arrow.head])
-            for take in range(top + 1):
-                current[pos[arrow.id]] = take
-                sink_load[arrow.head] += take
-                comp(ai + 1, remaining - take)
-                sink_load[arrow.head] -= take
-                current[pos[arrow.id]] = 0
-
-        if not arrows:
-            return  # a source with no arrows kills every degree-k element
-        comp(0, k)
+            current[pos[arrow.id]] = remaining
+            sink_load[arrow.head] += remaining
+            fill_source(si + 1)
+            sink_load[arrow.head] -= remaining
+            current[pos[arrow.id]] = 0
+            return
+        top = min(remaining, sink_cap[arrow.head] - sink_load[arrow.head])
+        for take in range(top + 1):
+            current[pos[arrow.id]] = take
+            sink_load[arrow.head] += take
+            comp(si, ai + 1, remaining - take)
+            sink_load[arrow.head] -= take
+            current[pos[arrow.id]] = 0
 
     fill_source(0)
-    del fill_source  # a recursive closure is a reference cycle: unbind it so `results` frees
+    del fill_source, comp  # recursive closures are reference cycles: unbind them so `results` frees
     results.sort()
     return results
 
@@ -642,4 +640,5 @@ def affine_relation_degree(quiver: Quiver, max_nodes: int = DEFAULT_MAX_NODES) -
         for j in range(i, len(eps)):
             target = _addt(eps[i], eps[j])
             decompositions(target, 0, [], (i, j))
+    del decompositions  # a recursive closure is a reference cycle: unbind it
     return best

@@ -6,13 +6,18 @@ parallel edges appear as repeated pairs and a loop is (v, v).
 
 Canonical forms: vertices are first partitioned by iterated degree
 refinement (an isomorphism invariant), then the adjacency encoding is
-minimized by brute force over the orderings compatible with the partition.
-The search is restricted to refinement-compatible orderings for speed; the
-result is still a canonical form (isomorphic graphs agree, others differ)
-and the test suite checks it against a brute-force isomorphism oracle.
+minimized over the orderings compatible with the partition, one vertex
+position at a time: every ordering that ties for the least encoding so far
+is kept, and of each class of twins (vertices whose transposition is an
+automorphism) only the lowest unused one is tried.  The orderings that
+reach the minimum, composed with the twin swaps, give the automorphism
+group.  The test suite checks the keys against a brute-force isomorphism
+oracle and against the plain depth-first minimization.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 
 class Multigraph:
@@ -73,37 +78,24 @@ class Multigraph:
 
         Parallel edges make two adjacent vertices 2-connected even without
         a third vertex, which is exactly the convention needed here."""
-        n = len(self.vertices)
-        if n < 2 or not self.is_connected():
+        if len(self.vertices) < 2 or not self.is_loopless():
             return False
-        if not self.is_loopless():
-            return False
-        for v in self.vertices:
-            rest = [u for u in self.vertices if u != v]
-            sub = Multigraph(rest, [e for e in self.edges if v not in e])
-            if len(rest) > 0 and not sub.is_connected():
+        adjacent: dict = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        for cut in (None,) + self.vertices:
+            rest = [v for v in self.vertices if v != cut]
+            seen = {rest[0]}
+            stack = [rest[0]]
+            while stack:
+                for w in adjacent[stack.pop()] - seen:
+                    if w != cut:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) < len(rest):
                 return False
         return True
-
-    def contract_edge(self, index: int) -> "Multigraph":
-        """Merge the endpoints of edge #index; other copies of the same
-        pair become loops, which are dropped (this operation is used in the
-        loopless-graph order where loops are discarded)."""
-        u, v = self.edges[index]
-        if u == v:
-            raise ValueError("cannot contract a loop")
-        merged = u
-        verts = [w for w in self.vertices if w != v]
-        edges = []
-        for i, (a, b) in enumerate(self.edges):
-            if i == index:
-                continue
-            a2 = merged if a == v else a
-            b2 = merged if b == v else b
-            if a2 == b2:
-                continue  # arising loop: dropped
-            edges.append((a2, b2))
-        return Multigraph(verts, edges)
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
@@ -127,84 +119,150 @@ def _refine_colors(n: int, colors: list, neighbor_data) -> list:
     hashable, permutation-invariant signature of vertex i."""
     while True:
         sigs = [(colors[i], neighbor_data(i, colors)) for i in range(n)]
-        order = sorted(set(sigs))
-        new = [order.index(s) for s in sigs]
+        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
         if new == colors:
             return colors
         colors = new
 
 
-def _min_encoding(n: int, colors: list, extend) -> tuple:
-    """Minimum concatenated encoding over the orderings that list the color
-    classes in increasing color order.
+def _neighbors(mult: list) -> list:
+    """(j, multiplicity) for the nonzero off-diagonal entries of each row."""
+    return [[(j, m) for j, m in enumerate(row) if m and j != i] for i, row in enumerate(mult)]
 
-    extend(prefix, v) must return the encoding entries contributed by
-    appending vertex v after the vertices in prefix; the encoding of a full
-    ordering is the concatenation of its contributions.  Because prefixes of
-    the ordering determine prefixes of the encoding, the search can discard
-    any branch whose partial encoding already exceeds the incumbent."""
+
+def _twins(mult: list, colors: list) -> list:
+    """The lowest twin of every vertex: u and v are twins when they share a
+    color and swapping them maps the multiplicity matrix onto itself.
+    Transpositions that are automorphisms compose to automorphisms, so
+    twinship is an equivalence and each vertex is compared with the lowest
+    member of every earlier class only."""
+    n = len(mult)
+    twin = list(range(n))
+    for v in range(1, n):
+        row_v = mult[v]
+        for u in range(v):
+            if twin[u] != u or colors[u] != colors[v]:
+                continue
+            row_u = mult[u]
+            if row_u[u] != row_v[v] or row_u[v] != row_v[u]:
+                continue
+            if all(
+                row_u[w] == row_v[w] and mult[w][u] == mult[w][v]
+                for w in range(n)
+                if w != u and w != v
+            ):
+                twin[v] = u
+                break
+    return twin
+
+
+def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
+    """Minimum concatenated encoding over the orderings that list the color
+    classes in increasing color order, with the orderings that reach it.
+
+    extend(prefix, v) must return the block of encoding entries contributed
+    by appending vertex v after the vertices in prefix, of a length that
+    depends on len(prefix) only.  Every prefix can be completed, so the
+    least encoding has the least block at every position: the search keeps
+    all tied prefixes position by position.  A twin of a vertex already
+    tried at a prefix is skipped, as swapping the two is an automorphism
+    that fixes the prefix."""
     classes: dict = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
     slots: list = []
     for c in sorted(classes):
         slots.extend([classes[c]] * len(classes[c]))
-    best = None
-    order: list = []
-    used: set = set()
-
-    def rec(enc: tuple):
-        nonlocal best
-        if best is not None and enc > best[: len(enc)]:
-            return
-        k = len(order)
-        if k == n:
-            if best is None or enc < best:
-                best = enc
-            return
-        for v in slots[k]:
-            if v in used:
-                continue
-            used.add(v)
-            order.append(v)
-            rec(enc + extend(order[:-1], v))
-            order.pop()
-            used.discard(v)
-
-    rec(())
-    return best
+    encoding: list = []
+    tied = [()]
+    for k in range(n):
+        best = None
+        grown = []
+        for prefix in tied:
+            tried = set()
+            for v in slots[k]:
+                if v in prefix or twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                block = extend(prefix, v)
+                if best is None or block < best:
+                    best = block
+                    grown = [prefix + (v,)]
+                elif block == best:
+                    grown.append(prefix + (v,))
+        encoding.extend(best)
+        tied = grown
+    return tuple(encoding), tied
 
 
-def canonical_key(graph: Multigraph) -> tuple:
-    """Canonical form of a multigraph: (n,) followed by the minimized
-    adjacency encoding, where vertex k contributes its multiplicities
-    towards the previously listed vertices and then its loop count."""
+def _undirected_search(graph: Multigraph) -> tuple:
+    """(encoding, minimizing orderings, twins) of a multigraph, in vertex
+    indices of graph.vertices."""
     n = len(graph.vertices)
-    verts = list(graph.vertices)
     mult = [[0] * n for _ in range(n)]
-    index = {v: i for i, v in enumerate(verts)}
+    index = {v: i for i, v in enumerate(graph.vertices)}
     for u, v in graph.edges:
         i, j = index[u], index[v]
         mult[i][j] += 1
         if i != j:
             mult[j][i] += 1
 
+    static = [(sum(row), row[i]) for i, row in enumerate(mult)]
+    near = _neighbors(mult)
     colors = _refine_colors(
         n,
         [0] * n,
-        lambda i, cols: (
-            sum(mult[i]),
-            mult[i][i],
-            tuple(sorted((cols[j], mult[i][j]) for j in range(n) if j != i and mult[i][j])),
-        ),
+        lambda i, cols: static[i] + (tuple(sorted([(cols[j], m) for j, m in near[i]])),),
     )
 
-    def extend(prefix: list, v: int) -> tuple:
-        return tuple(mult[v][u] for u in prefix) + (mult[v][v],)
+    def extend(prefix: tuple, v: int) -> tuple:
+        row = mult[v]
+        return (*map(row.__getitem__, prefix), row[v])
 
-    if n == 0:
+    twin = _twins(mult, colors)
+    return _min_encoding(n, colors, twin, extend) + (twin,)
+
+
+def canonical_key(graph: Multigraph) -> tuple:
+    """Canonical form of a multigraph: (n,) followed by the minimized
+    adjacency encoding, where vertex k contributes its multiplicities
+    towards the previously listed vertices and then its loop count."""
+    if not graph.vertices:
         return (0,)
-    return (n,) + _min_encoding(n, colors, extend)
+    return (len(graph.vertices),) + _undirected_search(graph)[0]
+
+
+def automorphisms(graph: Multigraph) -> list[tuple]:
+    """All vertex automorphisms of a multigraph, sorted, each as a tuple p
+    with p[i] the index of the image of graph.vertices[i] (the identity
+    comes first).  Every automorphism is a product of twin swaps after the
+    map from the first minimizing ordering of the canonical search onto
+    another one."""
+    if not graph.vertices:
+        return [()]
+    _, orderings, twin = _undirected_search(graph)
+    base = orderings[0]
+    found = []
+    for order in orderings:
+        perm = [0] * len(base)
+        for i, j in zip(base, order):
+            perm[i] = j
+        found.append(perm)
+    classes: dict = {}
+    for v, t in enumerate(twin):
+        classes.setdefault(t, []).append(v)
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        swaps = []
+        for image in permutations(members):
+            swap = list(range(len(twin)))
+            for v, w in zip(members, image):
+                swap[v] = w
+            swaps.append(swap)
+        found = [[swap[p] for p in perm] for perm in found for swap in swaps]
+    return sorted(tuple(perm) for perm in found)
 
 
 def from_canonical_key(key: tuple) -> Multigraph:
@@ -249,23 +307,21 @@ def directed_canonical_key(vertices, arcs) -> tuple:
             raise ValueError(f"arc ({tail!r},{head!r}) off the vertex set")
         mult[index[tail]][index[head]] += 1
 
+    transposed = [list(col) for col in zip(*mult)]
+    static = [(sum(row), sum(col), row[i]) for i, (row, col) in enumerate(zip(mult, transposed))]
+    near_out, near_in = _neighbors(mult), _neighbors(transposed)
     colors = _refine_colors(
         n,
         [0] * n,
-        lambda i, cols: (
-            sum(mult[i]),
-            sum(row[i] for row in mult),
-            mult[i][i],
-            tuple(sorted((cols[j], mult[i][j]) for j in range(n) if j != i and mult[i][j])),
-            tuple(sorted((cols[j], mult[j][i]) for j in range(n) if j != i and mult[j][i])),
+        lambda i, cols: static[i]
+        + (
+            tuple(sorted([(cols[j], m) for j, m in near_out[i]])),
+            tuple(sorted([(cols[j], m) for j, m in near_in[i]])),
         ),
     )
 
-    def extend(prefix: list, v: int) -> tuple:
-        return (
-            tuple(mult[v][u] for u in prefix)
-            + tuple(mult[u][v] for u in prefix)
-            + (mult[v][v],)
-        )
+    def extend(prefix: tuple, v: int) -> tuple:
+        row, col = mult[v], transposed[v]
+        return (*map(row.__getitem__, prefix), *map(col.__getitem__, prefix), row[v])
 
-    return (n,) + _min_encoding(n, colors, extend)
+    return (n,) + _min_encoding(n, colors, _twins(mult, colors), extend)[0]

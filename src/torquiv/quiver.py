@@ -423,26 +423,27 @@ def primitive_cycles(quiver: Quiver) -> list[PrimitiveCycle]:
     order = {v: i for i, v in enumerate(quiver.sorted_vertices())}
     found: list[tuple[str, ...]] = []
 
+    path_arrows: list[str] = []
+    visited: set[str] = set()
+
+    def dfs(v: str) -> None:
+        for a in sorted(quiver.out_arrows(v), key=lambda a: a.id):
+            w = a.head
+            if w == s:
+                found.append(_canonical_rotation(tuple(path_arrows + [a.id])))
+                continue
+            if order[w] <= s_rank or w in visited:
+                continue
+            visited.add(w)
+            path_arrows.append(a.id)
+            dfs(w)
+            path_arrows.pop()
+            visited.discard(w)
+
     for s in quiver.sorted_vertices():
         s_rank = order[s]
-        path_arrows: list[str] = []
-        visited: set[str] = {s}
-
-        def dfs(v: str) -> None:
-            for a in sorted(quiver.out_arrows(v), key=lambda a: a.id):
-                w = a.head
-                if w == s:
-                    found.append(_canonical_rotation(tuple(path_arrows + [a.id])))
-                    continue
-                if order[w] <= s_rank or w in visited:
-                    continue
-                visited.add(w)
-                path_arrows.append(a.id)
-                dfs(w)
-                path_arrows.pop()
-                visited.discard(w)
-
         dfs(s)
+    del dfs  # a recursive closure is a reference cycle: unbind it so `found` frees
 
     unique = sorted(set(found), key=lambda t: (len(t), t))
     return [PrimitiveCycle(t) for t in unique]

@@ -358,6 +358,7 @@ def _blocks(quiver: Quiver) -> list[tuple[frozenset, list[Arrow]]]:
     for v in quiver.vertices:
         if v not in disc:
             dfs(v, None)
+    del dfs  # a recursive closure is a reference cycle: unbind it so `blocks` frees
     sys.setrecursionlimit(old_limit)
     return blocks
 

@@ -1,5 +1,6 @@
 """Shared example quivers for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -372,3 +373,213 @@ def random_bipartite(rng: random.Random, max_sources=3, max_sinks=4, max_arrows=
         for k in range(rng.randint(1, max_arrows))
     ]
     return Quiver([f"s{i}" for i in range(n_src)] + [f"t{j}" for j in range(n_snk)], arrows)
+
+
+# -- reference classification searches ----------------------------------------
+#
+# The plain forms of the library's classification searches: a depth-first
+# minimization over every partition-compatible vertex ordering, unpruned
+# arrow-count compositions, and one quiver per orientation/sink choice
+# tuple.  The library must reproduce their outputs exactly.
+
+
+def _refine_colors_reference(n, colors, neighbor_data):
+    while True:
+        sigs = [(colors[i], neighbor_data(i, colors)) for i in range(n)]
+        order = sorted(set(sigs))
+        new = [order.index(s) for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def min_encoding_reference(n, colors, extend):
+    """Least concatenated encoding over the orderings that list the color
+    classes in increasing color order, by depth-first search."""
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    slots = []
+    for c in sorted(classes):
+        slots.extend([classes[c]] * len(classes[c]))
+    best = None
+    order = []
+
+    def rec(enc):
+        nonlocal best
+        if best is not None and enc > best[: len(enc)]:
+            return
+        if len(order) == n:
+            if best is None or enc < best:
+                best = enc
+            return
+        for v in slots[len(order)]:
+            if v in order:
+                continue
+            order.append(v)
+            rec(enc + extend(order[:-1], v))
+            order.pop()
+
+    rec(())
+    del rec
+    return best
+
+
+def canonical_key_reference(graph):
+    n = len(graph.vertices)
+    if n == 0:
+        return (0,)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    mult = [[0] * n for _ in range(n)]
+    for u, v in graph.edges:
+        i, j = index[u], index[v]
+        mult[i][j] += 1
+        if i != j:
+            mult[j][i] += 1
+    colors = _refine_colors_reference(
+        n,
+        [0] * n,
+        lambda i, cols: (
+            sum(mult[i]),
+            mult[i][i],
+            tuple(sorted((cols[j], mult[i][j]) for j in range(n) if j != i and mult[i][j])),
+        ),
+    )
+    return (n,) + min_encoding_reference(
+        n, colors, lambda prefix, v: tuple(mult[v][u] for u in prefix) + (mult[v][v],)
+    )
+
+
+def directed_canonical_key_reference(vertices, arcs):
+    verts = list(vertices)
+    n = len(verts)
+    if n == 0:
+        return (0,)
+    index = {v: i for i, v in enumerate(verts)}
+    mult = [[0] * n for _ in range(n)]
+    for tail, head in arcs:
+        mult[index[tail]][index[head]] += 1
+    colors = _refine_colors_reference(
+        n,
+        [0] * n,
+        lambda i, cols: (
+            sum(mult[i]),
+            sum(row[i] for row in mult),
+            mult[i][i],
+            tuple(sorted((cols[j], mult[i][j]) for j in range(n) if j != i and mult[i][j])),
+            tuple(sorted((cols[j], mult[j][i]) for j in range(n) if j != i and mult[j][i])),
+        ),
+    )
+    return (n,) + min_encoding_reference(
+        n,
+        colors,
+        lambda prefix, v: tuple(mult[v][u] for u in prefix)
+        + tuple(mult[u][v] for u in prefix)
+        + (mult[v][v],),
+    )
+
+
+def quiver_key_reference(quiver):
+    return directed_canonical_key_reference(
+        quiver.sorted_vertices(), [(a.tail, a.head) for a in quiver.arrows]
+    )
+
+
+def contract_edge(graph, index):
+    """Merge the endpoints of edge #index of a multigraph; other copies of
+    the same pair become loops, which are dropped, as in the contraction
+    order on loopless graphs."""
+    from torquiv import Multigraph
+
+    u, v = graph.edges[index]
+    if u == v:
+        raise ValueError("cannot contract a loop")
+    edges = []
+    for i, (a, b) in enumerate(graph.edges):
+        a, b = (u if a == v else a), (u if b == v else b)
+        if i != index and a != b:
+            edges.append((a, b))
+    return Multigraph([w for w in graph.vertices if w != v], edges)
+
+
+def compositions_reference(parts, total):
+    """Every tuple of `parts` non-negative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for m in range(total + 1):
+        for rest in compositions_reference(parts - 1, total - m):
+            yield (m,) + rest
+
+
+def enumerate_Rd_reference(d):
+    """Build every orientation/sink choice tuple on every skeleton and keep
+    the first quiver found per isomorphism class."""
+    from torquiv import build_Rd_quiver, enumerate_skeletons, kronecker_quiver
+    from torquiv.errors import UnsupportedCase
+
+    if d == 1:
+        return [kronecker_quiver()]
+    found = {}
+    for graph in enumerate_skeletons(d):
+        for choices in itertools.product(("forward", "backward", "sink"), repeat=len(graph.edges)):
+            try:
+                built = build_Rd_quiver(graph, choices)
+            except UnsupportedCase:
+                continue
+            found.setdefault(quiver_key_reference(built), built)
+    return [found[k] for k in sorted(found)]
+
+
+def affine_quiver(n, counts):
+    """The quiver on v0..v{n-1} with counts[k] arrows on the k-th ordered
+    pair (i, j), i != j, in row order."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    verts = [f"v{i}" for i in range(n)]
+    arrows = [
+        Arrow(f"a{i}_{j}_{c}", verts[i], verts[j])
+        for (i, j), m in zip(pairs, counts)
+        for c in range(m)
+    ]
+    return Quiver(verts, arrows)
+
+
+def degree_feasible(n, counts):
+    """Do the arrow counts give every vertex in- and outdegree >= 2?"""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out, into = [0] * n, [0] * n
+    for (i, j), m in zip(pairs, counts):
+        out[i] += m
+        into[j] += m
+    return min(out) >= 2 and min(into) >= 2
+
+
+def enumerate_affine_Rdd_reference(d):
+    """Filter every composition by degrees, primality and strong
+    connectivity after each single-arrow deletion, keeping the first quiver
+    found per isomorphism class."""
+    from torquiv import is_prime, loop_quiver
+    from torquiv.quiver import components, is_strongly_connected
+
+    if d == 1:
+        return [loop_quiver()]
+
+    def strong(q):
+        return all(
+            is_strongly_connected(q.induced_on_vertices(comp)) for comp in components(q)
+        )
+
+    found = {}
+    for n in range(2, d):
+        for counts in compositions_reference(n * (n - 1), n + d - 1):
+            if not degree_feasible(n, counts):
+                continue
+            q = affine_quiver(n, counts)
+            if not is_prime(q) or not strong(q):
+                continue
+            if not all(strong(q.without_arrow(aid)) for aid in q.sorted_arrow_ids()):
+                continue
+            found.setdefault(quiver_key_reference(q), q)
+    return [found[k] for k in sorted(found)]

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import random
 
 import pytest
 
@@ -40,9 +42,22 @@ from torquiv.errors import (
     UnsupportedCase,
     WrongDimension,
 )
-from torquiv.quiver import components, is_acyclic
+from torquiv.classify import _affine_compositions, _orbit_minimal_choices
+from torquiv.quiver import components, is_acyclic, is_theta_stable
 
-from helpers import kronecker, opposite_pair, quiver_a, two_cycle
+from helpers import (
+    affine_quiver,
+    compositions_reference,
+    contract_edge,
+    degree_feasible,
+    enumerate_affine_Rdd_reference,
+    enumerate_Rd_reference,
+    kronecker,
+    opposite_pair,
+    quiver_a,
+    random_pair,
+    two_cycle,
+)
 
 
 # -- skeleton lists -----------------------------------------------------------
@@ -125,6 +140,25 @@ def test_maximal_skeletons():
         for g in enumerate_maximal_skeletons(d):
             assert canonical_key(g) in base
             assert all(g.degree(v) == 3 for v in g.vertices)
+
+
+def _contraction_maximal(members):
+    """The members no other member contracts onto.  Contracting an edge of
+    multiplicity > 1 drops loops and lowers the cycle rank, so only
+    multiplicity-1 edges can lead to another member."""
+    keys = {canonical_key(g) for g in members}
+    dominated = set()
+    for g in members:
+        for idx, (u, v) in enumerate(g.edges):
+            if g.multiplicity(u, v) == 1:
+                dominated.add(canonical_key(contract_edge(g, idx)))
+    return sorted(keys - dominated)
+
+
+def test_maximal_skeletons_are_the_contraction_maximal_ones():
+    for d in (2, 3, 4):
+        maximal = [canonical_key(g) for g in enumerate_maximal_skeletons(d)]
+        assert maximal == _contraction_maximal(enumerate_skeletons(d))
 
 
 def test_enumerations_are_deterministic():
@@ -211,6 +245,77 @@ def test_quiver_list_contains_all_sink_subdivisions():
         assert quiver_key(built) in keys
 
 
+def _orbit_minimal_by_brute_force(graph):
+    """Choice tuples (0 forward, 1 backward, 2 sink) that no vertex
+    automorphism, found by trying every permutation, moves below
+    themselves; parallel edges are interchangeable."""
+    verts = list(graph.vertices)
+    edges = graph.edges
+    autos = []
+    for perm in itertools.permutations(verts):
+        lift = dict(zip(verts, perm))
+        if sorted(tuple(sorted((lift[u], lift[v]))) for u, v in edges) == sorted(edges):
+            autos.append(lift)
+    out = []
+    for choice in itertools.product(range(3), repeat=len(edges)):
+        least = True
+        for lift in autos:
+            moved = {}
+            for (u, v), c in zip(edges, choice):
+                a, b = lift[u], lift[v]
+                if a > b:
+                    a, b, c = b, a, (1, 0, 2)[c]
+                moved.setdefault((a, b), []).append(c)
+            image = tuple(c for pair in sorted(moved) for c in sorted(moved[pair]))
+            if image < choice:
+                least = False
+                break
+        if least:
+            out.append(choice)
+    return out
+
+
+def test_orbit_minimal_choices_match_brute_force():
+    for d in (2, 3):
+        for graph in enumerate_skeletons(d):
+            assert list(_orbit_minimal_choices(graph)) == _orbit_minimal_by_brute_force(graph)
+
+
+def test_quiver_lists_match_the_product_reference():
+    # one quiver per choice tuple, keyed by the depth-first canonical search:
+    # the same members, the same representatives, the same order
+    for d in (1, 2, 3):
+        got = [q.to_dict() for q in enumerate_Rd(d)]
+        assert got == [q.to_dict() for q in enumerate_Rd_reference(d)], d
+
+
+def test_quiver_list_builds_only_acyclic_orbit_representatives(monkeypatch):
+    import torquiv.classify as classify
+
+    built = []
+    real = classify.build_Rd_quiver
+
+    def counting(graph, choices):
+        built.append(1)
+        return real(graph, choices)
+
+    monkeypatch.setattr(classify, "build_Rd_quiver", counting)
+    assert len(classify.enumerate_Rd(3)) == len(built) == 131
+
+
+def test_enumerate_Rd_leaves_no_reference_cycles():
+    enumerate_Rd(2)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_Rd(3)
+        enumerate_skeletons(3)
+        enumerate_maximal_skeletons(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- the zero-weight lists -----------------------------------------------------
 
 
@@ -275,6 +380,51 @@ def test_affine_list_defining_properties():
     five_keys = {quiver_key(q) for q in five}
     assert quiver_key(opposite_pair(4, 2)[0]) in five_keys
     assert quiver_key(opposite_pair(3, 3)[0]) in five_keys
+
+
+def test_affine_compositions_prune_only_infeasible_branches():
+    for n in (2, 3, 4):
+        for e in range(n + 1, n + 5):
+            expected = [
+                c for c in compositions_reference(n * (n - 1), e) if degree_feasible(n, c)
+            ]
+            assert list(_affine_compositions(n, e)) == expected, (n, e)
+
+
+def test_affine_lists_match_the_unpruned_reference():
+    for d in (1, 2, 3, 4, 5):
+        got = [q.to_dict() for q in enumerate_affine_Rdd(d)]
+        assert got == [q.to_dict() for q in enumerate_affine_Rdd_reference(d)], d
+
+
+def _zero_stable_agrees(q):
+    return is_strongly_connected(q) == is_theta_stable(q, {v: 0 for v in q.vertices})
+
+
+def test_strong_connectivity_is_zero_weight_stability():
+    # the rank-4 candidates, their components and their single-arrow
+    # deletions, before any degree filter
+    for n in (2, 3):
+        for counts in compositions_reference(n * (n - 1), n + 3):
+            q = affine_quiver(n, counts)
+            for piece in [q] + [q.without_arrow(a) for a in q.sorted_arrow_ids()]:
+                for comp in components(piece):
+                    assert _zero_stable_agrees(piece.induced_on_vertices(comp))
+    rng = random.Random(61)
+    for _ in range(300):
+        q, _ = random_pair(rng, max_vertices=5, max_arrows=8)
+        assert _zero_stable_agrees(q)
+
+
+def test_enumerate_affine_Rdd_leaves_no_reference_cycles():
+    enumerate_affine_Rdd(3)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_affine_Rdd(4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- normal fans ----------------------------------------------------------------

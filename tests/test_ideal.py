@@ -1,6 +1,7 @@
 """Semigroup, divisor-graph, generator, certification, lifting, matching, and
 affine relation-degree tests."""
 
+import gc
 import random
 import warnings
 
@@ -431,6 +432,22 @@ def test_osm_matching_counts():
     for m in matchings:
         assert sum(m.values()) == 2
         assert all(v in (0, 1) for v in m.values())
+
+
+def test_matching_and_relation_searches_leave_no_reference_cycles():
+    # the matchings, pieces and cycle vectors free on return, not at the
+    # next collection
+    q, _ = complete_bipartite(3, 3, -1, 1)
+    cycle, _ = affine_cycle_pair(4)
+    gc.collect()
+    gc.disable()
+    try:
+        osm_lattice_points(q)
+        osm_certify_degree3(q, horizon=4)
+        assert affine_relation_degree(cycle) == 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_osm_isolated_source_gives_nothing():

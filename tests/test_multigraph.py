@@ -1,13 +1,17 @@
 import itertools
 import random
+import time
 
 from torquiv.multigraph import (
     Multigraph,
     are_isomorphic,
+    automorphisms,
     canonical_key,
     directed_canonical_key,
     from_canonical_key,
 )
+
+from helpers import canonical_key_reference, contract_edge, directed_canonical_key_reference
 
 
 def brute_force_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
@@ -133,9 +137,27 @@ def test_two_connected():
     assert not disconnected.is_two_connected()
 
 
+def test_two_connected_matches_vertex_deletion():
+    # no loops, connected, and connected after deleting any one vertex
+    rng = random.Random(71)
+    for _ in range(300):
+        g = random_multigraph(rng, rng.randrange(1, 6), 8)
+        expected = (
+            len(g.vertices) >= 2
+            and g.is_loopless()
+            and g.is_connected()
+            and all(
+                Multigraph([u for u in g.vertices if u != v], [e for e in g.edges if v not in e])
+                .is_connected()
+                for v in g.vertices
+            )
+        )
+        assert g.is_two_connected() == expected, g.to_json()
+
+
 def test_contract_edge_drops_new_loops():
     g = Multigraph(["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "c")])
-    h = g.contract_edge(0)
+    h = contract_edge(g, 0)
     assert len(h.vertices) == 2
     # the parallel copy of the contracted edge becomes a loop and is dropped
     assert len(h.edges) == 1
@@ -231,3 +253,69 @@ def test_directed_key_rejects_bad_input():
         assert False, "dangling arc must be rejected"
     except ValueError:
         pass
+
+
+# -- the tie-level search against the depth-first reference ---------------------
+
+
+def twinned_pairs(rng, n, max_pairs):
+    """Random (u, v) pairs on n vertices, loops and repeats allowed, then
+    some vertices cloned so that twins occur, and some isolated ones."""
+    verts = [f"v{i}" for i in range(n)]
+    pairs = []
+    for k in range(rng.randrange(max_pairs + 1) if n else 0):
+        pairs.append((rng.choice(verts), rng.choice(verts)))
+    for k in range(rng.randrange(3) if n else 0):
+        model, clone = rng.choice(verts), f"t{k}"
+        copies = [
+            (clone if u == model else u, clone if v == model else v)
+            for u, v in pairs
+            if model in (u, v)
+        ]
+        pairs += copies
+        verts.append(clone)
+    verts += [f"z{k}" for k in range(rng.randrange(3))]
+    return verts, pairs
+
+
+def test_keys_match_the_depth_first_reference():
+    rng = random.Random(83)
+    for _ in range(300):
+        verts, pairs = twinned_pairs(rng, rng.randrange(5), 7)
+        g = Multigraph(verts, pairs)
+        assert canonical_key(g) == canonical_key_reference(g), (verts, pairs)
+        assert directed_canonical_key(verts, pairs) == directed_canonical_key_reference(
+            verts, pairs
+        ), (verts, pairs)
+
+
+def test_automorphisms_match_brute_force():
+    rng = random.Random(89)
+    for _ in range(150):
+        verts, pairs = twinned_pairs(rng, rng.randrange(5), 6)
+        g = Multigraph(verts, pairs)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        expected = []
+        for perm in itertools.permutations(range(len(g.vertices))):
+            moved = sorted(
+                tuple(sorted((g.vertices[perm[index[u]]], g.vertices[perm[index[v]]])))
+                for u, v in g.edges
+            )
+            if moved == list(g.edges):
+                expected.append(perm)
+        assert automorphisms(g) == expected, (verts, pairs)
+
+
+def test_twin_heavy_keys_stay_fast():
+    # 16! orderings for the depth-first search; one per twin class here
+    leaves = [f"l{i}" for i in range(16)]
+    cases = [
+        lambda: directed_canonical_key(["hub"] + leaves, [("hub", v) for v in leaves]),
+        lambda: directed_canonical_key(leaves, []),
+        lambda: canonical_key(Multigraph(["u", "v"], [("u", "v")] * 12)),
+    ]
+    for case in cases:
+        start = time.perf_counter()
+        case()
+        assert time.perf_counter() - start < 0.25
+    assert automorphisms(Multigraph(leaves[:5], []))[1] == (0, 1, 2, 4, 3)

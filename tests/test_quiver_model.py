@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -90,6 +91,18 @@ def test_zero_stability_is_strong_connectivity():
             assert is_theta_stable(sub, {v: 0 for v in comp}) == is_strongly_connected(sub)
         if len(components(q)) == 1:
             assert is_theta_stable(q, zero) == is_strongly_connected(q)
+
+
+def test_primitive_cycles_leave_no_reference_cycles():
+    verts = ["x", "y", "z"]
+    q = Quiver(verts, [Arrow(f"e{u}{v}", u, v) for u in verts for v in verts if u != v])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(primitive_cycles(q)) == 5
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_primitive_cycles_counts():
