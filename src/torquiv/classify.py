@@ -51,6 +51,7 @@ from .quiver import (
     check_weight,
     components,
     euler_characteristic,
+    feasible_flow,
     is_acyclic,
     is_strongly_connected,
 )
@@ -477,10 +478,9 @@ def normal_fan_2d(
     the polytope's affine lattice onto the plane's standard lattice, so the
     resulting ray set is well-defined up to a determinant +-1 change of
     basis.  Requires the tightened polytope to be 2-dimensional."""
-    check_weight(quiver, weight)
-    if not vertices(quiver, weight, max_nodes):
+    if feasible_flow(quiver, weight) is None:
         raise EmptyPolyhedron("the pair cuts out an empty polyhedron")
-    tq, tw, _ = tighten(quiver, weight, max_nodes)
+    tq, tw, _ = tighten(quiver, weight)
     if not is_acyclic(tq):
         raise UnsupportedCase(
             "the tightened quiver keeps an oriented cycle; only bounded "
@@ -667,12 +667,12 @@ def realize_Rprime(
                 "below cycle rank 2 only the two-arrow quiver on two vertices "
                 "is admissible"
             )
-        if not is_tight(quiver, weight, max_nodes):
+        if not is_tight(quiver, weight):
             raise NotTight("realization needs a tight input pair")
         return quiver, dict(weight)
     if not (is_prime(quiver) and is_acyclic(quiver) and in_rd_form(quiver)):
         raise NotInRd("realization needs a prime acyclic quiver in normal form")
-    if not is_tight(quiver, weight, max_nodes):
+    if not is_tight(quiver, weight):
         raise NotTight("realization needs a tight input pair")
     current, current_weight = quiver, dict(weight)
     while True:

@@ -30,7 +30,7 @@ from .classify import (
     normal_fan_2d,
 )
 from .corpus import regenerate
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, SearchCapExceeded
 from .ideal import (
     GradedSemigroup,
     affine_relation_degree,
@@ -170,7 +170,7 @@ def _cmd_normality(args):
 def _cmd_tighten(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
-    tq, tw, trace = tighten(quiver, weight, args.max_nodes)
+    tq, tw, trace = tighten(quiver, weight)
     result = {
         "command": "tighten",
         "input_digest": digest,
@@ -502,6 +502,13 @@ def main(argv=None) -> int:
         _error_json("InputError", str(exc))
         return 1
     except DomainError as exc:
+        _print_json(exc.to_json())
+        return 2
+    except RecursionError:
+        exc = SearchCapExceeded(
+            "search went deeper than the recursion limit",
+            recursion_limit=sys.getrecursionlimit(),
+        )
         _print_json(exc.to_json())
         return 2
     if isinstance(result, str):

@@ -29,7 +29,14 @@ from .errors import (
     NotParallel,
     UnsupportedCase,
 )
-from .polytope import DEFAULT_MAX_NODES, _NodeBudget, dimension, lattice_points, support_dimension
+from .polytope import (
+    DEFAULT_MAX_NODES,
+    _NodeBudget,
+    dimension,
+    greedy_factorization,
+    lattice_points,
+    support_dimension,
+)
 from .quiver import Quiver, divergence, is_strongly_connected, primitive_cycles, topological_order
 
 
@@ -115,24 +122,10 @@ class GradedSemigroup:
         """Greedy factorization into `count` generators, lex-smallest first.
 
         Returns a tuple of generator indices, or None when `tup` is not a
-        degree-`count` element.  Normality guarantees the greedy choice
-        never needs backtracking.
+        degree-`count` element (see `polytope.greedy_factorization`).
         """
-        residual = tup
-        picked = []
-        for _ in range(count):
-            found = None
-            for i, g in enumerate(self.generators):
-                if _leq(g, residual):
-                    found = i
-                    break
-            if found is None:
-                return None
-            picked.append(found)
-            residual = _sub(residual, self.generators[found])
-        if any(residual):
-            return None
-        return tuple(picked)
+        picks = greedy_factorization(self.generators, tup, count)
+        return None if picks is None else tuple(picks)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Everything here is exact and integer.  One backtracking walk over the
 arrows enumerates lattice points, and with forest support it enumerates
 vertices (integer flows with forest support, by total unimodularity).
 Dimensions are read off the support graph: |S| - |V| + c(V, S) for the
-arrows S that some point of the polyhedron uses.  No floats.
+arrows S that some point of the polyhedron uses, which one max-flow finds
+(`quiver.feasible_flow`).  No floats.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .quiver import (
     check_weight,
     components,
     euler_characteristic,
+    feasible_flow,
+    flow_support,
     primitive_cycles,
     topological_order,
 )
@@ -406,44 +409,32 @@ def support_dimension(quiver: Quiver, support) -> int:
     return euler_characteristic(quiver.restricted_to_arrows(support))
 
 
-def _supports(quiver: Quiver, weight: dict) -> tuple[list[set], list[set]]:
-    """Supports of the vertices and of the primitive cycles (the
-    generators of the recession cone) of a nonempty polyhedron."""
-    verts = vertices(quiver, weight)
-    if not verts:
-        raise EmptyPolyhedron("quiver polyhedron has no points")
-    return (
-        [{a for a, x in m.items() if x} for m in verts],
-        [set(c.arrow_ids) for c in primitive_cycles(quiver)],
-    )
-
-
 def dimension(quiver: Quiver, weight: dict) -> int:
-    """Dimension of the polyhedron, from the union of the supports of its
-    vertices and of its primitive cycles."""
-    vert_supports, ray_supports = _supports(quiver, weight)
-    return support_dimension(quiver, set().union(*vert_supports, *ray_supports))
+    """Dimension of the polyhedron, from its support."""
+    flow = feasible_flow(quiver, weight)
+    if flow is None:
+        raise EmptyPolyhedron("quiver polyhedron has no points")
+    return support_dimension(quiver, flow_support(quiver, flow))
 
 
 def facet_arrows(quiver: Quiver, weight: dict) -> list[list[str]]:
     """Arrows whose vanishing locus is a facet, grouped by the facet they
     cut (two arrows land in one group when their faces coincide).  Groups
-    are sorted by their smallest arrow id."""
-    vert_supports, ray_supports = _supports(quiver, weight)
-    dim = support_dimension(quiver, set().union(*vert_supports, *ray_supports))
+    are sorted by their smallest arrow id.
 
+    The face x(a) = 0 is the polyhedron of Q - a.  A face is the set of
+    points of the polyhedron that vanish off its support, so two faces
+    coincide exactly when their supports do."""
+    dim = dimension(quiver, weight)
     groups: dict = {}
-    for a in sorted(quiver.arrows, key=lambda a: a.id):
-        face_verts = tuple(i for i, s in enumerate(vert_supports) if a.id not in s)
-        if not face_verts:
+    for aid in quiver.sorted_arrow_ids():
+        face = quiver.without_arrow(aid)
+        flow = feasible_flow(face, weight)
+        if flow is None:
             continue  # the face is empty: every point uses a
-        face_rays = tuple(i for i, s in enumerate(ray_supports) if a.id not in s)
-        face_support = set().union(
-            *(vert_supports[i] for i in face_verts),
-            *(ray_supports[i] for i in face_rays),
-        )
-        if support_dimension(quiver, face_support) == dim - 1:
-            groups.setdefault((face_verts, face_rays), []).append(a.id)
+        support = frozenset(flow_support(face, flow))
+        if support_dimension(quiver, support) == dim - 1:
+            groups.setdefault(support, []).append(aid)
     return sorted(groups.values(), key=lambda g: g[0])
 
 
@@ -464,33 +455,37 @@ def check_normality(
         ones = lattice_points(quiver, weight, 1, max_nodes)
         top = lattice_points(quiver, weight, k, max_nodes)
     order = quiver.sorted_arrow_ids()
-    ones_sorted = sorted(ones, key=lambda f: flow_tuple(f, order))
-
-    def decompose(target: dict) -> list[dict] | None:
-        budget = _NodeBudget(max_nodes)
-
-        def rec(remaining: tuple, depth: int, start: int) -> list[int] | None:
-            budget.spend()
-            if depth == k:
-                return [] if all(x == 0 for x in remaining) else None
-            for i in range(start, len(ones_sorted)):
-                cand = flow_tuple(ones_sorted[i], order)
-                if all(c <= r for c, r in zip(cand, remaining)):
-                    nxt = tuple(r - c for r, c in zip(remaining, cand))
-                    sub = rec(nxt, depth + 1, i)
-                    if sub is not None:
-                        return [i] + sub
-            return None
-
-        picks = rec(flow_tuple(target, order), 0, 0)
-        if picks is None:
-            return None
-        return [ones_sorted[i] for i in picks]
-
+    generators = [flow_tuple(f, order) for f in ones]
     witness: dict = {}
     for s in top:
-        dec = decompose(s)
-        if dec is None:
+        picks = greedy_factorization(generators, flow_tuple(s, order), k)
+        if picks is None:
             return False, {"counterexample": s}
-        witness[str(flow_tuple(s, order))] = dec
+        witness[str(flow_tuple(s, order))] = [ones[i] for i in picks]
     return True, witness
+
+
+def greedy_factorization(points, target: tuple, count: int) -> list[int] | None:
+    """The lexicographically first way to write `target` as a sum of
+    `count` of the lex-sorted `points`, as indices, or None when there is
+    none.
+
+    Takes the lex-least point p <= r of the remainder r each time.  The
+    remainder of a lattice point of a quiver polytope's dilate stays a
+    lattice point of the next smaller dilate, which splits again (total
+    unimodularity), so the greedy choice never has to be undone; and every
+    point q <= r - p is a candidate at r too, so q comes no earlier than p
+    and each scan starts at the previous pick."""
+    picks: list[int] = []
+    start = 0
+    for _ in range(count):
+        for i in range(start, len(points)):
+            p = points[i]
+            if all(x <= r for x, r in zip(p, target)):
+                break
+        else:
+            return None
+        picks.append(i)
+        target = tuple(r - x for r, x in zip(target, p))
+        start = i
+    return picks if not any(target) else None

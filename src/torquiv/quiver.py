@@ -17,12 +17,11 @@ run of every operation is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import InputError, SearchCapExceeded
-
-STABILITY_VERTEX_CAP = 24
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -233,6 +232,13 @@ def strongly_connected_components(quiver: Quiver) -> list[frozenset[str]]:
     """Tarjan's algorithm, iterative; components in reverse topological
     order of the condensation (every arrow leaving a component points to a
     component listed earlier)."""
+    return _strong_components(
+        {v: [a.head for a in quiver.out_arrows(v)] for v in quiver.vertices}
+    )
+
+
+def _strong_components(succ: dict[str, list[str]]) -> list[frozenset[str]]:
+    """Tarjan's algorithm on the graph with successor lists `succ`."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -240,7 +246,7 @@ def strongly_connected_components(quiver: Quiver) -> list[frozenset[str]]:
     result: list[frozenset[str]] = []
     counter = 0
 
-    for root in quiver.vertices:
+    for root in succ:
         if root in index:
             continue
         work: list[tuple[str, int]] = [(root, 0)]
@@ -252,9 +258,9 @@ def strongly_connected_components(quiver: Quiver) -> list[frozenset[str]]:
                 stack.append(v)
                 on_stack.add(v)
             advanced = False
-            out = quiver.out_arrows(v)
+            out = succ[v]
             while pi < len(out):
-                w = out[pi].head
+                w = out[pi]
                 pi += 1
                 if w not in index:
                     work[-1] = (v, pi)
@@ -323,69 +329,111 @@ def canonical_weight(quiver: Quiver) -> dict[str, int]:
     return {v: quiver.indegree(v) - quiver.outdegree(v) for v in quiver.vertices}
 
 
-def successor_closed_subsets(quiver: Quiver) -> Iterator[frozenset[str]]:
-    """Yield every successor-closed subset of the vertex set (including the
-    empty set and the full set), each exactly once.
-
-    A set S is successor-closed when every arrow with tail in S has its
-    head in S.  Such sets are exactly the unions of strongly connected
-    components that are closed under successors in the condensation, so we
-    enumerate closed sets of the condensation DAG: components come out of
-    Tarjan in reverse topological order (successors first), which lets a
-    simple include/exclude scan check closure against decided components
-    only.
-    """
-    if len(quiver.vertices) > STABILITY_VERTEX_CAP:
-        raise SearchCapExceeded(
-            f"stability check needs |vertices| <= {STABILITY_VERTEX_CAP}",
-            vertices=len(quiver.vertices),
-        )
-    sccs = strongly_connected_components(quiver)
-    n = len(sccs)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for a in quiver.arrows:
-        i, j = comp_of[a.tail], comp_of[a.head]
-        if i != j:
-            succ[i].add(j)
-
-    chosen = [False] * n
-
-    def rec(i: int) -> Iterator[frozenset[str]]:
-        if i == n:
-            members: set[str] = set()
-            for k in range(n):
-                if chosen[k]:
-                    members.update(sccs[k])
-            yield frozenset(members)
-            return
-        # exclude component i
-        yield from rec(i + 1)
-        # include it, but only if all its successors are already in
-        if all(chosen[j] for j in succ[i]):
-            chosen[i] = True
-            yield from rec(i + 1)
-            chosen[i] = False
-
-    yield from rec(0)
-
-
 def is_theta_stable(quiver: Quiver, weight: dict[str, int]) -> bool:
     """True iff the weight sums to zero and every non-empty proper
-    successor-closed vertex subset has strictly positive total weight."""
+    successor-closed vertex subset has strictly positive total weight.
+
+    No arrow leaves a successor-closed set, so its weight is the flow that
+    enters it.  Hence the condition holds exactly when Q is connected and
+    the polyhedron has a point positive on every arrow: one feasible flow
+    and its support decide it."""
+    flow = feasible_flow(quiver, weight)
+    return (
+        flow is not None
+        and len(components(quiver)) <= 1
+        and len(flow_support(quiver, flow)) == len(quiver.arrows)
+    )
+
+
+# -- the flow kernel ---------------------------------------------------------
+#
+# The constraint matrix of {x >= 0 : div x = theta} is an incidence matrix,
+# hence totally unimodular: max-flow on the supply/demand network finds an
+# integer point whenever the polyhedron has a point at all (Ford-Fulkerson
+# 1956; Hoffman 1960), and the residual graph of that point shows where the
+# other points can differ from it.
+
+
+def push_flow(
+    quiver: Quiver,
+    flow: dict[str, int],
+    supply: dict[str, int],
+    demand: dict[str, int],
+    skip: str | None = None,
+) -> int:
+    """Augment `flow` from a super-source, which feeds each vertex v up to
+    supply[v], to a super-sink, which drains v up to demand[v], and return
+    the amount moved.  `flow`, `supply` and `demand` change in place.
+
+    Augmenting paths are shortest paths (BFS, Edmonds-Karp) in the residual
+    graph: every arrow forward without bound, and backward up to its flow.
+    The arrow `skip` is left out both ways."""
+    moved = 0
+    while True:
+        prev: dict = {v: None for v, s in supply.items() if s > 0}
+        queue = deque(prev)
+        end = None
+        while queue:
+            v = queue.popleft()
+            if demand.get(v, 0) > 0:
+                end = v
+                break
+            for a in quiver.out_arrows(v):
+                if a.head not in prev and a.id != skip:
+                    prev[a.head] = (a, 1)
+                    queue.append(a.head)
+            for a in quiver.in_arrows(v):
+                if a.tail not in prev and flow[a.id] > 0 and a.id != skip:
+                    prev[a.tail] = (a, -1)
+                    queue.append(a.tail)
+        if end is None:
+            return moved
+        path = []
+        v = end
+        while prev[v] is not None:
+            a, sign = prev[v]
+            path.append((a.id, sign))
+            v = a.tail if sign > 0 else a.head
+        delta = min(
+            supply[v], demand[end], *(flow[aid] for aid, sign in path if sign < 0)
+        )
+        for aid, sign in path:
+            flow[aid] += sign * delta
+        supply[v] -= delta
+        demand[end] -= delta
+        moved += delta
+
+
+def feasible_flow(quiver: Quiver, weight: dict[str, int]) -> dict[str, int] | None:
+    """One non-negative integer flow with divergence `weight`, or None when
+    the polyhedron is empty: sources (negative weight) feed sinks (positive
+    weight) by max-flow, and the polyhedron is empty unless every sink is
+    filled."""
     check_weight(quiver, weight)
     if sum(weight[v] for v in quiver.vertices) != 0:
-        return False
-    full = frozenset(quiver.vertices)
-    for s in successor_closed_subsets(quiver):
-        if not s or s == full:
-            continue
-        if sum(weight[v] for v in s) <= 0:
-            return False
-    return True
+        return None
+    flow = {a.id: 0 for a in quiver.arrows}
+    demand = {v: weight[v] for v in quiver.vertices if weight[v] > 0}
+    push_flow(
+        quiver, flow, {v: -weight[v] for v in quiver.vertices if weight[v] < 0}, demand
+    )
+    return None if any(demand.values()) else flow
+
+
+def flow_support(quiver: Quiver, flow: dict[str, int]) -> set[str]:
+    """The support of the polyhedron through the feasible `flow`: the
+    arrows positive at some of its points.
+
+    An arrow is in it when the flow is positive on it, or when a residual
+    cycle runs through it, that is when both its ends lie in one strongly
+    connected component of the residual graph (every arrow forward, and
+    backward where the flow is positive)."""
+    succ = {v: [a.head for a in quiver.out_arrows(v)] for v in quiver.vertices}
+    for a in quiver.arrows:
+        if flow[a.id]:
+            succ[a.head].append(a.tail)
+    comp = {v: i for i, c in enumerate(_strong_components(succ)) for v in c}
+    return {a.id for a in quiver.arrows if flow[a.id] or comp[a.tail] == comp[a.head]}
 
 
 # -- primitive cycles --------------------------------------------------------

@@ -8,19 +8,19 @@ on the polyhedron side, so lattice point counts in every degree are
 preserved move by move; traces carry (quiver, weight) snapshots so tests
 can verify exactly that.
 
-Optimization subproblems (is an arrow's coordinate maximized at 0? is the
-relaxed minimum non-negative?) are solved exactly by enumerating extreme
-points and recession generators, never by floating-point LP.
+Whether an arrow is removable or contractible is decided on one feasible
+integer flow of the polyhedron (`quiver.feasible_flow`): removable arrows
+are those off its support, and an arrow is contractible when the flow
+around it, from its tail to its head, is at most its own flow.  Exact
+integer max-flow throughout, never floating-point LP.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import (
     EmptyPolyhedron,
-    EmptyWeight,
     InputError,
     LoopArrow,
     NotAVertex,
@@ -31,17 +31,16 @@ from .errors import (
     WrongValencyPattern,
 )
 from .multigraph import Multigraph
-from .polytope import DEFAULT_MAX_NODES, lattice_points
-from .polytope import vertices as polytope_vertices
 from .quiver import (
     Arrow,
     Quiver,
     check_weight,
     components,
     euler_characteristic,
+    feasible_flow,
+    flow_support,
     is_theta_stable,
-    primitive_cycles,
-    topological_order,
+    push_flow,
 )
 
 
@@ -68,36 +67,24 @@ class ReductionTrace:
         ]
 
 
-def _extreme_points(quiver: Quiver, weight: dict, max_nodes: int) -> list[dict]:
-    """A finite point set containing all optima of linear functionals that
-    are bounded on the polyhedron: all degree-1 lattice points (acyclic
-    case, where the polyhedron is their convex hull) or all vertices."""
-    if sum(weight[v] for v in quiver.vertices) != 0:
-        return []
-    if topological_order(quiver) is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyWeight)
-            return lattice_points(quiver, weight, 1, max_nodes)
-    return polytope_vertices(quiver, weight, max_nodes)
+def _nonempty_flow(quiver: Quiver, weight: dict, message: str) -> dict:
+    flow = feasible_flow(quiver, weight)
+    if flow is None:
+        raise EmptyPolyhedron(message)
+    return flow
 
 
 # -- removal and contraction ---------------------------------------------
 
 
-def is_removable(
-    quiver: Quiver, weight: dict, arrow_id: str, max_nodes: int = DEFAULT_MAX_NODES
-) -> bool:
+def is_removable(quiver: Quiver, weight: dict, arrow_id: str) -> bool:
     """Does x(a) vanish identically on the polyhedron?  (Then deleting the
-    arrow changes nothing.)  The maximum of x(a) is +infinity when an
-    oriented cycle runs through a, and is otherwise attained on the extreme
-    point set."""
+    arrow changes nothing.)  Exactly when a lies off the support."""
     quiver.arrow(arrow_id)
-    pts = _extreme_points(quiver, weight, max_nodes)
-    if not pts:
-        raise EmptyPolyhedron("cannot test removability on an empty polyhedron")
-    if any(arrow_id in c.arrow_ids for c in primitive_cycles(quiver)):
-        return False
-    return all(p[arrow_id] == 0 for p in pts)
+    flow = _nonempty_flow(
+        quiver, weight, "cannot test removability on an empty polyhedron"
+    )
+    return arrow_id not in flow_support(quiver, flow)
 
 
 def contract(quiver: Quiver, weight: dict, arrow_id: str) -> tuple[Quiver, dict]:
@@ -134,134 +121,87 @@ def contract(quiver: Quiver, weight: dict, arrow_id: str) -> tuple[Quiver, dict]
     return Quiver(new_vertices, new_arrows), new_weight
 
 
-def is_contractible(
-    quiver: Quiver, weight: dict, arrow_id: str, max_nodes: int = DEFAULT_MAX_NODES
-) -> bool:
+def _contractible(quiver: Quiver, flow: dict, a: Arrow) -> bool:
+    """Does x(a) stay >= 0 on the relaxed region through the feasible
+    `flow`?  Lowering x(a) by d means carrying d more from tail(a) to
+    head(a) around a, in the residual graph of the flow; so x(a) can go
+    negative exactly when more than flow(a) gets around, which at most
+    flow(a) + 1 augmentations decide."""
+    cap = flow[a.id] + 1
+    moved = push_flow(quiver, dict(flow), {a.tail: cap}, {a.head: cap}, skip=a.id)
+    return moved < cap
+
+
+def is_contractible(quiver: Quiver, weight: dict, arrow_id: str) -> bool:
     """May x(a) go negative once its sign constraint is dropped (all other
     coordinates still >= 0, divergence fixed)?  If not, contracting a is an
     equivalence.
 
     Dropping x(a) >= 0 and eliminating x(a) identifies the relaxed region
-    with the polyhedron of the contracted pair; on it x(a) becomes the
-    affine form  theta(head(a)) - sum_b c_b y(b)  with c_b = [head(b) =
-    head(a)] - [tail(b) = head(a)] over the remaining arrows b.  The test
-    is: form bounded below along every recession generator, and minimum
-    over the extreme points >= 0.  An empty relaxed region passes
-    trivially."""
+    with the polyhedron of the contracted pair.  An empty relaxed region
+    passes trivially; on an empty polyhedron every point of the relaxed
+    region has x(a) < 0."""
     a = quiver.arrow(arrow_id)
     if a.is_loop():
         raise LoopArrow(f"arrow {arrow_id!r} is a loop")
-    qhat, what = contract(quiver, weight, arrow_id)
-    coeffs = {}
-    for b in quiver.arrows:
-        if b.id == arrow_id:
-            continue
-        coeffs[b.id] = (1 if b.head == a.head else 0) - (1 if b.tail == a.head else 0)
-    pts = _extreme_points(qhat, what, max_nodes)
-    if not pts:
-        return True
-    for c in primitive_cycles(qhat):
-        if sum(coeffs[bid] for bid in c.arrow_ids) > 0:
-            return False  # the form decreases along this recession ray
-    const = weight[a.head]
-    return all(
-        const - sum(coeffs[bid] * p[bid] for bid in coeffs) >= 0 for p in pts
-    )
+    flow = feasible_flow(quiver, weight)
+    if flow is None:
+        return feasible_flow(*contract(quiver, weight, arrow_id)) is None
+    return _contractible(quiver, flow, a)
 
 
 # -- tightening ------------------------------------------------------------
 
 
-def _first_removable(
-    quiver: Quiver, weight: dict, max_nodes: int
-) -> str | None:
-    pts = _extreme_points(quiver, weight, max_nodes)
-    if not pts:
-        raise EmptyPolyhedron("cannot tighten an empty polyhedron")
-    cyc_arrows = set()
-    for c in primitive_cycles(quiver):
-        cyc_arrows.update(c.arrow_ids)
-    for aid in quiver.sorted_arrow_ids():
-        if aid in cyc_arrows:
-            continue
-        if all(p[aid] == 0 for p in pts):
-            return aid
+def _next_move(quiver: Quiver, flow: dict) -> tuple[str, str] | None:
+    """The next tightening move on the pair through the feasible `flow`:
+    ("remove", a) for the smallest arrow id off the support, else
+    ("contract", a) for the smallest contractible arrow id, else None."""
+    support = flow_support(quiver, flow)
+    ids = quiver.sorted_arrow_ids()
+    for aid in ids:
+        if aid not in support:
+            return "remove", aid
+    for aid in ids:
+        a = quiver.arrow(aid)
+        if not a.is_loop() and _contractible(quiver, flow, a):
+            return "contract", aid
     return None
 
 
-def _first_contractible(
-    quiver: Quiver, weight: dict, max_nodes: int
-) -> str | None:
-    for aid in quiver.sorted_arrow_ids():
-        if quiver.arrow(aid).is_loop():
-            continue
-        if is_contractible(quiver, weight, aid, max_nodes):
-            return aid
-    return None
+def _apply_move(
+    quiver: Quiver, weight: dict, flow: dict, kind: str, aid: str
+) -> tuple[Quiver, dict]:
+    """Remove or contract the arrow; `flow` stays feasible for the result
+    (a removed arrow carries 0, and a contraction keeps the divergence of
+    every other arrow's ends)."""
+    del flow[aid]
+    if kind == "remove":
+        return quiver.without_arrow(aid), weight
+    return contract(quiver, weight, aid)
 
 
-def tighten(
-    quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
-) -> tuple[Quiver, dict, ReductionTrace]:
+def tighten(quiver: Quiver, weight: dict) -> tuple[Quiver, dict, ReductionTrace]:
     """Remove/contract until no arrow is removable or contractible.
 
     Deterministic move order: scan arrows in id order, removals before
-    contractions, restart after every move.  The result is a tight pair
-    with the same polyhedron up to integral-affine equivalence."""
-    check_weight(quiver, weight)
+    contractions, restart after every move.  One flow is carried across
+    the moves.  The result is a tight pair with the same polyhedron up to
+    integral-affine equivalence."""
+    flow = _nonempty_flow(quiver, weight, "cannot tighten an empty polyhedron")
     trace = ReductionTrace()
-    while True:
-        aid = _first_removable(quiver, weight, max_nodes)
-        if aid is not None:
-            quiver = quiver.without_arrow(aid)
-            trace.moves.append(Move("remove", aid, quiver, dict(weight)))
-            continue
-        aid = _first_contractible(quiver, weight, max_nodes)
-        if aid is not None:
-            quiver, weight = contract(quiver, weight, aid)
-            trace.moves.append(Move("contract", aid, quiver, dict(weight)))
-            continue
-        return quiver, weight, trace
+    while (move := _next_move(quiver, flow)) is not None:
+        quiver, weight = _apply_move(quiver, weight, flow, *move)
+        trace.moves.append(Move(*move, quiver, dict(weight)))
+    return quiver, weight, trace
 
 
-def _combinatorially_tight(quiver: Quiver, weight: dict) -> bool:
-    """Every connected component of Q, and of Q minus any single arrow, is
-    stable for the restricted weight."""
-
-    def all_components_stable(q: Quiver) -> bool:
-        for comp in components(q):
-            sub = q.induced_on_vertices(comp)
-            if not is_theta_stable(sub, {v: weight[v] for v in comp}):
-                return False
-        return True
-
-    if not all_components_stable(quiver):
-        return False
-    for aid in quiver.sorted_arrow_ids():
-        if not all_components_stable(quiver.without_arrow(aid)):
-            return False
-    return True
-
-
-def is_tight(
-    quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
-) -> bool:
-    """No removable and no contractible arrow.  Runs both the optimization
-    route and the combinatorial stability criterion and insists they
-    agree."""
-    if not _extreme_points(quiver, weight, max_nodes):
-        raise EmptyPolyhedron("tightness undefined for an empty polyhedron")
-    by_moves = (
-        _first_removable(quiver, weight, max_nodes) is None
-        and _first_contractible(quiver, weight, max_nodes) is None
+def is_tight(quiver: Quiver, weight: dict) -> bool:
+    """No removable and no contractible arrow."""
+    flow = _nonempty_flow(
+        quiver, weight, "tightness undefined for an empty polyhedron"
     )
-    by_stability = _combinatorially_tight(quiver, weight)
-    if by_moves != by_stability:
-        raise AssertionError(
-            "internal inconsistency: optimization-based and combinatorial "
-            f"tightness disagree ({by_moves} vs {by_stability})"
-        )
-    return by_moves
+    return _next_move(quiver, flow) is None
 
 
 # -- reflection --------------------------------------------------------------
@@ -490,9 +430,7 @@ def in_rd_form(quiver: Quiver) -> bool:
     return True
 
 
-def normalize_to_Rd(
-    quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
-) -> tuple[Quiver, dict, ReductionTrace]:
+def normalize_to_Rd(quiver: Quiver, weight: dict) -> tuple[Quiver, dict, ReductionTrace]:
     """Drive a tight prime pair into the normal form where every valency-2
     vertex is a sink and no arrow joins two valency-2 vertices.
 
@@ -505,33 +443,29 @@ def normalize_to_Rd(
     check_weight(quiver, weight)
     if not is_prime(quiver):
         raise NotPrime("normal form needs a prime quiver")
-    if not is_tight(quiver, weight, max_nodes):
+    if not is_tight(quiver, weight):
         raise NotTight("normal form needs a tight input pair")
     if euler_characteristic(quiver) < 2:
         raise UnsupportedCase("normal form needs euler characteristic >= 2")
 
     trace = ReductionTrace()
+    flow = feasible_flow(quiver, weight)
     while True:
-        aid = _first_removable(quiver, weight, max_nodes)
-        if aid is not None:
-            quiver = quiver.without_arrow(aid)
-            trace.moves.append(Move("remove", aid, quiver, dict(weight)))
-            continue
-        aid = _first_contractible(quiver, weight, max_nodes)
-        if aid is not None:
-            quiver, weight = contract(quiver, weight, aid)
-            trace.moves.append(Move("contract", aid, quiver, dict(weight)))
+        move = _next_move(quiver, flow)
+        if move is not None:
+            quiver, weight = _apply_move(quiver, weight, flow, *move)
+            trace.moves.append(Move(*move, quiver, dict(weight)))
             continue
         source = None
         for v in sorted(quiver.vertices):
             if quiver.valency(v) == 2 and quiver.outdegree(v) == 2:
                 source = v
                 break
-        if source is not None:
-            quiver, weight = reflect(quiver, weight, source)
-            trace.moves.append(Move("reflect", source, quiver, dict(weight)))
-            continue
-        break
+        if source is None:
+            break
+        quiver, weight = reflect(quiver, weight, source)
+        flow = feasible_flow(quiver, weight)
+        trace.moves.append(Move("reflect", source, quiver, dict(weight)))
     if not in_rd_form(quiver):
         raise UnsupportedCase(
             "normal-form loop stalled before reaching the target shape"

@@ -583,3 +583,214 @@ def enumerate_affine_Rdd_reference(d):
                 continue
             found.setdefault(quiver_key_reference(q), q)
     return [found[k] for k in sorted(found)]
+
+
+# -- enumeration oracles for support, stability and the reductions --------------
+#
+# The earlier library routes, kept as references for the flow kernel
+# (`torquiv.quiver.feasible_flow`, `flow_support`): stability by walking the
+# successor-closed subsets, removability and contractibility by optimizing
+# over all extreme points and primitive cycles, dimensions and facets from
+# the supports of the vertices and recession generators, and normality by a
+# depth-first search over factorizations.
+
+
+def successor_closed_subsets(quiver):
+    """Every successor-closed vertex subset, empty and full set included:
+    the closed unions of strongly connected components, by include/exclude
+    over the condensation in reverse topological order."""
+    from torquiv.quiver import strongly_connected_components
+
+    sccs = strongly_connected_components(quiver)
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    succ = [set() for _ in sccs]
+    for a in quiver.arrows:
+        i, j = comp_of[a.tail], comp_of[a.head]
+        if i != j:
+            succ[i].add(j)
+    closed = [frozenset()]
+    for i, comp in enumerate(sccs):
+        closed += [
+            s | comp for s in closed if all(sccs[j] <= s for j in succ[i])
+        ]
+    return closed
+
+
+def is_theta_stable_reference(quiver, weight):
+    """Weight sums to zero and every non-empty proper successor-closed
+    subset has positive weight."""
+    if sum(weight[v] for v in quiver.vertices) != 0:
+        return False
+    full = frozenset(quiver.vertices)
+    return all(
+        sum(weight[v] for v in s) > 0
+        for s in successor_closed_subsets(quiver)
+        if s and s != full
+    )
+
+
+def extreme_points_reference(quiver, weight, max_nodes=10**6):
+    """All degree-1 lattice points (acyclic case) or all vertices: a finite
+    set holding every optimum of a functional bounded on the polyhedron."""
+    import warnings
+
+    from torquiv import lattice_points, vertices
+    from torquiv.errors import EmptyWeight
+    from torquiv.quiver import topological_order
+
+    if sum(weight[v] for v in quiver.vertices) != 0:
+        return []
+    if topological_order(quiver) is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyWeight)
+            return lattice_points(quiver, weight, 1, max_nodes)
+    return vertices(quiver, weight, max_nodes)
+
+
+def is_removable_reference(quiver, weight, arrow_id):
+    """x(a) is 0 at every extreme point and a lies on no oriented cycle;
+    None on an empty polyhedron."""
+    from torquiv import primitive_cycles
+
+    pts = extreme_points_reference(quiver, weight)
+    if not pts:
+        return None
+    if any(arrow_id in c.arrow_ids for c in primitive_cycles(quiver)):
+        return False
+    return all(p[arrow_id] == 0 for p in pts)
+
+
+def is_contractible_reference(quiver, weight, arrow_id):
+    """The relaxed minimum of x(a) over the contracted pair: bounded along
+    every primitive cycle and >= 0 at every extreme point."""
+    from torquiv import contract, primitive_cycles
+
+    a = quiver.arrow(arrow_id)
+    qhat, what = contract(quiver, weight, arrow_id)
+    coeffs = {
+        b.id: (b.head == a.head) - (b.tail == a.head)
+        for b in quiver.arrows
+        if b.id != arrow_id
+    }
+    pts = extreme_points_reference(qhat, what)
+    if not pts:
+        return True
+    if any(sum(coeffs[b] for b in c.arrow_ids) > 0 for c in primitive_cycles(qhat)):
+        return False
+    const = weight[a.head]
+    return all(const - sum(coeffs[b] * p[b] for b in coeffs) >= 0 for p in pts)
+
+
+def _first_move_reference(quiver, weight):
+    ids = quiver.sorted_arrow_ids()
+    for aid in ids:
+        if is_removable_reference(quiver, weight, aid):
+            return "remove", aid
+    for aid in ids:
+        if not quiver.arrow(aid).is_loop() and is_contractible_reference(quiver, weight, aid):
+            return "contract", aid
+    return None
+
+
+def tighten_reference(quiver, weight):
+    """Removals before contractions, arrows in id order, restarting after
+    every move; (quiver, weight, trace JSON) or None on an empty polyhedron."""
+    from torquiv import contract
+    from torquiv.reductions import Move, ReductionTrace
+
+    if not extreme_points_reference(quiver, weight):
+        return None
+    trace = ReductionTrace()
+    while (move := _first_move_reference(quiver, weight)) is not None:
+        kind, aid = move
+        if kind == "remove":
+            quiver = quiver.without_arrow(aid)
+        else:
+            quiver, weight = contract(quiver, weight, aid)
+        trace.moves.append(Move(kind, aid, quiver, dict(weight)))
+    return quiver, weight, trace.to_json()
+
+
+def is_tight_by_moves_reference(quiver, weight):
+    """No removable and no contractible arrow; None on an empty polyhedron."""
+    if not extreme_points_reference(quiver, weight):
+        return None
+    return _first_move_reference(quiver, weight) is None
+
+
+def is_tight_by_stability_reference(quiver, weight):
+    """Every component of Q, and of Q minus any one arrow, is stable."""
+    from torquiv.quiver import components
+
+    def stable(q):
+        return all(
+            is_theta_stable_reference(q.induced_on_vertices(c), {v: weight[v] for v in c})
+            for c in components(q)
+        )
+
+    return stable(quiver) and all(
+        stable(quiver.without_arrow(aid)) for aid in quiver.sorted_arrow_ids()
+    )
+
+
+def _supports_reference(quiver, weight):
+    from torquiv import primitive_cycles, vertices
+
+    verts = vertices(quiver, weight)
+    if not verts:
+        return None
+    return (
+        [{a for a, x in m.items() if x} for m in verts],
+        [set(c.arrow_ids) for c in primitive_cycles(quiver)],
+    )
+
+
+def dimension_reference(quiver, weight):
+    """|S| - |V| + c(V, S) for the union S of the vertex and cycle
+    supports; None on an empty polyhedron."""
+    from torquiv.polytope import support_dimension
+
+    supports = _supports_reference(quiver, weight)
+    if supports is None:
+        return None
+    return support_dimension(quiver, set().union(*supports[0], *supports[1]))
+
+
+def facet_arrows_reference(quiver, weight):
+    """Facet groups keyed by the vertices and cycles that avoid the arrow."""
+    from torquiv.polytope import support_dimension
+
+    supports = _supports_reference(quiver, weight)
+    if supports is None:
+        return None
+    vert_supports, ray_supports = supports
+    dim = support_dimension(quiver, set().union(*vert_supports, *ray_supports))
+    groups = {}
+    for aid in quiver.sorted_arrow_ids():
+        face_verts = tuple(i for i, s in enumerate(vert_supports) if aid not in s)
+        if not face_verts:
+            continue
+        face_rays = tuple(i for i, s in enumerate(ray_supports) if aid not in s)
+        face_support = set().union(
+            *(vert_supports[i] for i in face_verts), *(ray_supports[i] for i in face_rays)
+        )
+        if support_dimension(quiver, face_support) == dim - 1:
+            groups.setdefault((face_verts, face_rays), []).append(aid)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def factorization_reference(points, target, count):
+    """Depth-first search for the lex-first factorization of `target` into
+    `count` of the lex-sorted `points` (non-decreasing indices), or None."""
+
+    def rec(remaining, depth, start):
+        if depth == count:
+            return [] if not any(remaining) else None
+        for i in range(start, len(points)):
+            if all(c <= r for c, r in zip(points[i], remaining)):
+                sub = rec(tuple(r - c for r, c in zip(remaining, points[i])), depth + 1, i)
+                if sub is not None:
+                    return [i] + sub
+        return None
+
+    return rec(tuple(target), 0, 0)

@@ -210,3 +210,35 @@ def test_localize_emits_zero_weight_quiver(tmp_path, capsys):
     assert sorted(doc["vertex"]) == ["a1", "a2", "a3", "a4", "a5", "a6"]
     assert all(value in (0, 1) for value in doc["vertex"].values())
 
+
+
+def path_pair(n):
+    """The path v0 -> v1 -> ... with one unit of flow through it."""
+    from torquiv import Arrow, Quiver
+
+    verts = [f"v{i:04d}" for i in range(n)]
+    q = Quiver(verts, [Arrow(f"a{i:04d}", verts[i], verts[i + 1]) for i in range(n - 1)])
+    w = dict.fromkeys(verts, 0)
+    w[verts[0]], w[verts[-1]] = -1, 1
+    return q, w
+
+
+def test_deep_walk_reports_search_cap_exit_two(tmp_path, capsys):
+    # the lattice walk recurses once per arrow; past the recursion limit the
+    # CLI still answers with structured JSON, never a traceback
+    path = write_pair(tmp_path / "path.json", *path_pair(1200))
+    for argv in (["vertices", path], ["lattice-points", path]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "search-cap-exceeded"
+
+
+def test_localize_long_path(tmp_path, capsys):
+    # stability of the support tree no longer caps the vertex count
+    path = write_pair(tmp_path / "path.json", *path_pair(30))
+    code, out = run_cli(capsys, "localize", path, "--vertex-index", "0")
+    assert code == 0
+    doc = json.loads(out)
+    merged = "+".join(f"v{i:04d}" for i in range(30))
+    assert doc["quiver"] == {"arrows": [], "vertices": [merged], "weight": {merged: 0}}
+    assert set(doc["vertex"].values()) == {1}
