@@ -35,7 +35,6 @@ from .polytope import (
     dimension,
     greedy_factorization,
     lattice_points,
-    support_dimension,
 )
 from .quiver import Quiver, divergence, is_strongly_connected, primitive_cycles, topological_order
 
@@ -90,14 +89,8 @@ class GradedSemigroup:
         return self._pieces[k]
 
     def dimension(self) -> int:
-        """Dimension of the polytope, from the support of the degree-one
-        elements: they include the vertices and lie in their hull."""
-        if not self.generators:
-            raise EmptyPolyhedron("quiver polyhedron has no points")
-        support = [
-            a for a, column in zip(self.arrow_ids, zip(*self.generators)) if any(column)
-        ]
-        return support_dimension(self.quiver, support)
+        """Dimension of the polytope (`polytope.dimension`)."""
+        return dimension(self.quiver, self.weight)
 
     def flow_tuple(self, flow: dict) -> tuple:
         missing = [a for a in self.arrow_ids if a not in flow]

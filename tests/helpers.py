@@ -18,6 +18,16 @@ def kronecker(w1=-1, w2=1):
     return q, {"s": w1, "t": w2}
 
 
+def path_pair(n):
+    """The path v0000 -> v0001 -> ... on n vertices with one unit of flow
+    through it."""
+    verts = [f"v{i:04d}" for i in range(n)]
+    q = Quiver(verts, [Arrow(f"a{i:04d}", verts[i], verts[i + 1]) for i in range(n - 1)])
+    w = dict.fromkeys(verts, 0)
+    w[verts[0]], w[verts[-1]] = -1, 1
+    return q, w
+
+
 def quiver_a(weights=(-1, 1, 1, 1, -2)):
     """Two sources feeding three middle sinks: the 2-dimensional workhorse.
 

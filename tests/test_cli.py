@@ -2,7 +2,7 @@
 
 import json
 
-from helpers import kronecker, quiver_a, two_cycle
+from helpers import kronecker, path_pair, quiver_a, two_cycle
 
 from torquiv.cli import main
 
@@ -209,18 +209,6 @@ def test_localize_emits_zero_weight_quiver(tmp_path, capsys):
     assert set(doc["quiver"]["weight"].values()) == {0}
     assert sorted(doc["vertex"]) == ["a1", "a2", "a3", "a4", "a5", "a6"]
     assert all(value in (0, 1) for value in doc["vertex"].values())
-
-
-
-def path_pair(n):
-    """The path v0 -> v1 -> ... with one unit of flow through it."""
-    from torquiv import Arrow, Quiver
-
-    verts = [f"v{i:04d}" for i in range(n)]
-    q = Quiver(verts, [Arrow(f"a{i:04d}", verts[i], verts[i + 1]) for i in range(n - 1)])
-    w = dict.fromkeys(verts, 0)
-    w[verts[0]], w[verts[-1]] = -1, 1
-    return q, w
 
 
 def test_deep_walk_reports_search_cap_exit_two(tmp_path, capsys):

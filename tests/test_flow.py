@@ -40,6 +40,7 @@ from helpers import (
     is_theta_stable_reference,
     is_tight_by_moves_reference,
     is_tight_by_stability_reference,
+    path_pair,
     random_acyclic,
     random_pair,
     tighten_reference,
@@ -126,13 +127,10 @@ def test_support_of_a_cycle_with_a_tail():
 
 
 def test_stability_on_a_40_vertex_path():
-    verts = [f"v{i:02d}" for i in range(40)]
-    q = Quiver(verts, [Arrow(f"a{i:02d}", verts[i], verts[i + 1]) for i in range(39)])
-    w = dict.fromkeys(verts, 0)
-    w["v00"], w["v39"] = -1, 1
+    q, w = path_pair(40)
     assert is_theta_stable(q, w)
     # a middle sink leaves the arrows after it at zero
-    assert not is_theta_stable(q, {**w, "v20": 1, "v39": 0})
+    assert not is_theta_stable(q, {**w, "v0020": 1, "v0039": 0})
     # every arrow carries its forced unit, so all of them contract
     assert not is_tight(q, w)
     tq, tw, trace = tighten(q, w)
