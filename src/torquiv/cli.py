@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -276,17 +277,16 @@ def _cmd_certify(args):
             "degree": violation.degree,
             "element": dict(zip(semigroup.arrow_ids, violation.element)),
         }
-    horizon = args.horizon
     note = (
         "scanned degrees in (bound, horizon]; horizon defaults to "
-        "max(bound + 1, polytope dimension + 1)"
+        "dimension + 2 - codegree, above which no minimal generator lies"
     )
     return _certificate(
         "certify",
         digest,
         {
             "bound": args.bound,
-            "horizon": horizon,
+            "horizon": args.horizon,
             "horizon_policy": note,
             "max_nodes": args.max_nodes,
         },
@@ -487,6 +487,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 1 without a traceback when standard output
+    closes before everything is written (say, piped into `head`)."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at interpreter exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,6 +16,7 @@ one subtraction and one mask (SIMD within a register; Lamport, "Multiple
 byte processing with full-word instructions", CACM 1975).
 """
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -32,11 +33,20 @@ from .errors import (
 from .polytope import (
     DEFAULT_MAX_NODES,
     _NodeBudget,
+    _fresh,
     dimension,
+    generation_degree,
     greedy_factorization,
     lattice_points,
 )
-from .quiver import Quiver, divergence, is_strongly_connected, primitive_cycles, topological_order
+from .quiver import (
+    Arrow,
+    Quiver,
+    divergence,
+    is_strongly_connected,
+    primitive_cycles,
+    topological_order,
+)
 
 
 def _leq(small: tuple, big: tuple) -> bool:
@@ -91,6 +101,12 @@ class GradedSemigroup:
     def dimension(self) -> int:
         """Dimension of the polytope (`polytope.dimension`)."""
         return dimension(self.quiver, self.weight)
+
+    @functools.cached_property
+    def generation_degree(self) -> int:
+        """d + 2 - codeg (`polytope.generation_degree`): no minimal
+        generator of the ideal lies above it."""
+        return generation_degree(self.quiver, self.weight)
 
     def flow_tuple(self, flow: dict) -> tuple:
         missing = [a for a in self.arrow_ids if a not in flow]
@@ -264,14 +280,16 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     factorization of the first component against one from each other.
     Split elements are found by the packed test of `_disconnected` (a field
     of (k * largest generator coordinate).bit_length() bits and a guard bit
-    per arrow); only those get a tuple-level `divisor_graph`.
+    per arrow); only those get a tuple-level `divisor_graph`.  Degrees
+    above `semigroup.generation_degree` (d + 2 - codeg) hold no split
+    element, so the scan stops there when that is below `max_degree`.
     """
     if max_degree < 2:
         raise InputError("max_degree must be at least 2")
     out = []
     if not semigroup.generators:
         return out
-    for k in range(2, max_degree + 1):
+    for k in range(2, min(max_degree, semigroup.generation_degree) + 1):
         for tup in _disconnected(semigroup, k):
             graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
             reps = [
@@ -286,19 +304,20 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
 def certify_degree_bound(semigroup: GradedSemigroup, bound: int, horizon: int | None = None):
     """Check that no element above `bound` needs a new generator.
 
-    Scans degrees in (bound, horizon]; the default horizon is
-    max(bound + 1, polytope dimension + 1).  A horizon at or below the
-    bound leaves nothing to scan and certifies vacuously.  Returns
-    (True, None) or (False, first violation).  Each element is screened by
-    the packed test of `_disconnected`, in fields of (k * largest generator
-    coordinate).bit_length() bits under a guard bit.
+    Scans degrees in (bound, horizon].  The default horizon is
+    `semigroup.generation_degree`, d + 2 - codeg, above which no minimal
+    generator lies; an explicit horizon scans exactly what it names.  A
+    horizon at or below the bound leaves nothing to scan and certifies
+    vacuously.  Returns (True, None) or (False, first violation).  Each
+    element is screened by the packed test of `_disconnected`, in fields of
+    (k * largest generator coordinate).bit_length() bits under a guard bit.
     """
     if bound < 1:
         raise InputError("bound must be positive")
     if not semigroup.generators:
         return True, None
     if horizon is None:
-        horizon = max(bound + 1, semigroup.dimension() + 1)
+        horizon = semigroup.generation_degree
     elif horizon < 1:
         raise InputError("horizon must be positive")
     for k in range(bound + 1, horizon + 1):
@@ -450,39 +469,23 @@ def osm_lattice_points(quiver: Quiver) -> list:
     return out
 
 
-def complete_to_equal_parts(quiver: Quiver) -> tuple:
-    """Add fully connected extra sources until sources and sinks balance.
+def _matching_polytope(quiver: Quiver) -> tuple:
+    """The quiver polytope whose semigroup is the one-sided-matching one.
 
-    Returns the enlarged quiver with the all-(-1)/all-(+1) weight on
-    sources/sinks.
+    Q gains one slack source z with an arrow to each sink; every source
+    has weight -1, every sink +1 and z the difference #sources - #sinks.
+    A degree-k flow sends k from each source, and the slack arrow into a
+    sink carries what the sources leave of its k, so forgetting the slack
+    arrows maps its degree-k flows one to one onto the degree-k matching
+    elements.  Returns (quiver, weight); z and its arrows get fresh names.
     """
-    from .quiver import Arrow
-
     sources, sinks = _osm_parts(quiver)
-    vertices = list(quiver.vertices)
-    arrows = list(quiver.arrows)
-    taken_v = set(vertices)
-    taken_a = {a.id for a in arrows}
-    extras = []
-    for i in range(len(sinks) - len(sources)):
-        name = f"extra{i + 1}"
-        while name in taken_v:
-            name += "'"
-        taken_v.add(name)
-        vertices.append(name)
-        extras.append(name)
-        for w in sinks:
-            aid = f"{name}:{w}"
-            while aid in taken_a:
-                aid += "'"
-            taken_a.add(aid)
-            arrows.append(Arrow(aid, name, w))
-    filled = Quiver(vertices, arrows)
-    weight = {}
-    for v in filled.vertices:
-        weight[v] = 1 if filled.indegree(v) > 0 else -1
-    # isolated original sources keep weight -1, matching the source side
-    return filled, weight
+    z = _fresh("z", set(quiver.vertices))
+    taken = set(quiver.sorted_arrow_ids())
+    slack = [Arrow(_fresh(f"{z}:{w}", taken), z, w) for w in sinks]
+    weight = dict.fromkeys(sources, -1) | dict.fromkeys(sinks, 1)
+    weight[z] = len(sources) - len(sinks)
+    return Quiver(list(quiver.vertices) + [z], list(quiver.arrows) + slack), weight
 
 
 def _osm_piece(quiver: Quiver, sources: list, sinks: list, k: int, budget: _NodeBudget) -> list:
@@ -569,18 +572,19 @@ def osm_certify_degree3(
     """Certify the degree-3 bound for the one-sided-matching semigroup, by
     divisor-graph connectivity on the matching semigroup itself.
 
-    The default horizon is the dimension of the quiver completed with fully
-    connected extra sources under the unit weight, plus one (at least 4).
-    Agreement with `certify_degree_bound` on that completed quiver is
-    checked by the acceptance tests, not at run time.
+    Scans degrees in (3, horizon].  The default horizon is d + 2 - codeg
+    of the matching polytope (`_matching_polytope`), above which no minimal
+    generator lies (`polytope.generation_degree`); when that polytope is
+    empty there is nothing to scan.  An explicit horizon scans exactly what
+    it names.  Agreement with `certify_degree_bound` on the matching polytope
+    is checked by the tests, not at run time.
     """
     _osm_parts(quiver)
     if horizon is None:
-        filled, unit_weight = complete_to_equal_parts(quiver)
         try:
-            horizon = max(4, dimension(filled, unit_weight) + 1)
+            horizon = generation_degree(*_matching_polytope(quiver))
         except EmptyPolyhedron:
-            horizon = 4
+            return True
     elif horizon < 1:
         raise InputError("horizon must be positive")
     return _osm_certified(quiver, 3, horizon, _NodeBudget(max_nodes))

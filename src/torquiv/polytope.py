@@ -31,6 +31,7 @@ from .quiver import (
     Quiver,
     check_weight,
     components,
+    divergence,
     euler_characteristic,
     feasible_flow,
     flow_support,
@@ -409,12 +410,47 @@ def support_dimension(quiver: Quiver, support) -> int:
     return euler_characteristic(quiver.restricted_to_arrows(support))
 
 
-def dimension(quiver: Quiver, weight: dict) -> int:
-    """Dimension of the polyhedron, from its support."""
+def _support(quiver: Quiver, weight: dict) -> set[str]:
+    """The support of a nonempty polyhedron, read off one feasible flow."""
     flow = feasible_flow(quiver, weight)
     if flow is None:
         raise EmptyPolyhedron("quiver polyhedron has no points")
-    return support_dimension(quiver, flow_support(quiver, flow))
+    return flow_support(quiver, flow)
+
+
+def dimension(quiver: Quiver, weight: dict) -> int:
+    """Dimension of the polyhedron, from its support."""
+    return support_dimension(quiver, _support(quiver, weight))
+
+
+def codegree(quiver: Quiver, weight: dict) -> int:
+    """The least k >= 1 for which the k-th dilate of the (acyclic) quiver
+    polytope has a lattice point in its relative interior.
+
+    The relative interior is where every arrow of the support S is
+    positive, so k qualifies exactly when some flow y >= 0 has divergence
+    k*theta - div(1_S): then y + 1_S is a point of kP that is >= 1 on S.
+    One feasibility test per k; k = dimension + 1 always qualifies."""
+    return _codegree(quiver, weight, _support(quiver, weight))
+
+
+def _codegree(quiver: Quiver, weight: dict, support: set[str]) -> int:
+    ones = divergence(quiver, {a.id: int(a.id in support) for a in quiver.arrows})
+    k = 1
+    while feasible_flow(quiver, {v: k * weight[v] - ones[v] for v in quiver.vertices}) is None:
+        k += 1
+    return k
+
+
+def generation_degree(quiver: Quiver, weight: dict) -> int:
+    """d + 2 - codeg for the (acyclic, nonempty) quiver polytope P of
+    dimension d, read off one support: no minimal generator of its toric
+    ideal lies above this degree.  P is normal, so its toric ring is
+    Cohen-Macaulay (Hochster 1972) with a-invariant -codeg(P) and hence
+    regularity d + 1 - codeg (Bruns-Gubeladze, "Polytopes, Rings, and
+    K-Theory", 2009); the ideal's is one more."""
+    support = _support(quiver, weight)
+    return support_dimension(quiver, support) + 2 - _codegree(quiver, weight, support)
 
 
 def facet_arrows(quiver: Quiver, weight: dict) -> list[list[str]]:

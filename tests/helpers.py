@@ -318,6 +318,46 @@ def rewriting_connected(semigroup, binomials, max_degree):
     return True
 
 
+# -- codegree and the generation degree ----------------------------------------
+#
+# The codegree by enumeration, and the minimal generating system with every
+# degree scanned: references for the flow test in torquiv.polytope.codegree
+# and for the d + 2 - codeg cap on the scans in torquiv.ideal.
+
+
+def codegree_reference(quiver, weight):
+    """The least k for which `lattice_points(k * theta)` has a point that
+    is >= 1 on every arrow some degree-1 point uses; None when there is no
+    degree-1 point."""
+    from torquiv import lattice_points
+
+    ones = lattice_points(quiver, weight, 1)
+    if not ones:
+        return None
+    support = {a for p in ones for a, x in p.items() if x}
+    k = 1
+    while not any(all(p[a] for a in support) for p in lattice_points(quiver, weight, k)):
+        k += 1
+    return k
+
+
+def minimal_generators_reference(semigroup, max_degree):
+    """`minimal_generators` with no cap: the tuple-level divisor graph of
+    every element in every degree from 2 to `max_degree`."""
+    from torquiv.ideal import BinomialGen, _representative, divisor_graph
+
+    out = []
+    for k in range(2, max_degree + 1):
+        for tup in semigroup.graded_piece(k):
+            graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
+            reps = [
+                _representative(semigroup, tup, k, graph.nodes[comp[0]])
+                for comp in graph.components
+            ]
+            out += [BinomialGen(k, tup, reps[0], other) for other in reps[1:]]
+    return out
+
+
 # -- tuple-level one-sided-matching certificate ---------------------------------
 #
 # The divisor-graph scan of the one-sided-matching semigroup written on flow
@@ -370,6 +410,39 @@ def osm_certified_reference(quiver, bound, horizon, max_nodes=1_000_000):
             if len(reached) < len(nodes):
                 return False
     return True
+
+
+def complete_to_equal_parts(quiver):
+    """Add fully connected extra sources until sources and sinks balance.
+
+    Returns the enlarged quiver with the all-(-1)/all-(+1) weight on
+    sources/sinks.  The extra sources share out the slack that the
+    matching polytope's one slack source carries, so certifying the
+    degree-3 bound here cross-checks the one-sided-matching certificate.
+    """
+    from torquiv.ideal import _osm_parts
+
+    sources, sinks = _osm_parts(quiver)
+    vertices = list(quiver.vertices)
+    arrows = list(quiver.arrows)
+    taken_v = set(vertices)
+    taken_a = {a.id for a in arrows}
+    for i in range(len(sinks) - len(sources)):
+        name = f"extra{i + 1}"
+        while name in taken_v:
+            name += "'"
+        taken_v.add(name)
+        vertices.append(name)
+        for w in sinks:
+            aid = f"{name}:{w}"
+            while aid in taken_a:
+                aid += "'"
+            taken_a.add(aid)
+            arrows.append(Arrow(aid, name, w))
+    filled = Quiver(vertices, arrows)
+    # isolated original sources keep weight -1, matching the source side
+    weight = {v: 1 if filled.indegree(v) > 0 else -1 for v in filled.vertices}
+    return filled, weight
 
 
 def random_bipartite(rng: random.Random, max_sources=3, max_sinks=4, max_arrows=8):

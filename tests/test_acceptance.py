@@ -13,6 +13,7 @@ from helpers import (
     affine_cycle_pair,
     all_factorizations,
     complete_bipartite,
+    complete_to_equal_parts,
     in_convex_hull,
     random_acyclic,
     rewriting_connected,
@@ -32,7 +33,6 @@ from torquiv.ideal import (
     affine_relation_degree,
     certify_degree_bound,
     collapse_parallel,
-    complete_to_equal_parts,
     lift_generators,
     minimal_generators,
     osm_certify_degree3,

@@ -1,7 +1,14 @@
 """Command-line interface: exit codes, JSON shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import torquiv
 from helpers import kronecker, path_pair, quiver_a, two_cycle
 
 from torquiv.cli import main
@@ -230,3 +237,26 @@ def test_localize_long_path(tmp_path, capsys):
     merged = "+".join(f"v{i:04d}" for i in range(30))
     assert doc["quiver"] == {"arrows": [], "vertices": [merged], "weight": {merged: 0}}
     assert set(doc["vertex"].values()) == {1}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_one_without_traceback(tmp_path, unbuffered):
+    # like `torquiv lattice-points ... | head -c 10`, but with the reading end
+    # closed before the command starts, so every write hits a broken pipe
+    path = write_pair(tmp_path / "pair.json", *quiver_a((-1, 1, 1, 1, -2)))
+    env = dict(os.environ, PYTHONPATH=str(Path(torquiv.__file__).parents[1]))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "torquiv.cli", "lattice-points", path, "--degree", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""

@@ -14,7 +14,6 @@ from torquiv import (
     affine_relation_degree,
     certify_degree_bound,
     collapse_parallel,
-    complete_to_equal_parts,
     dimension,
     divisor_graph,
     lift_generators,
@@ -39,6 +38,7 @@ from helpers import (
     affine_cycle_pair,
     all_factorizations,
     complete_bipartite,
+    complete_to_equal_parts,
     kronecker,
     osm_certified_reference,
     quiver_a,
@@ -339,7 +339,7 @@ def test_certify_allows_horizon_below_bound():
 
 
 def test_generator_support_dimension_matches_polytope_dimension():
-    # the default certification horizon is the generator-support dimension + 1
+    # the semigroup reports the polytope's dimension, and raises on an empty one
     for stem, q, w in acyclic_corpus_pairs():
         assert GradedSemigroup(q, w).dimension() == dimension(q, w), stem
     rng = random.Random(41)
