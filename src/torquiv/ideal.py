@@ -5,15 +5,19 @@ a graded semigroup generated in degree one.  The relations among the
 degree-one generators are binomial; whether all relations follow from
 low-degree ones is decided by connectivity of per-element divisor graphs,
 which this module builds, certifies, and mines for a minimal generating
-system.  It also handles two side cases: the bipartite one-sided-matching
-semigroup and the degree of relations between cycle products on strongly
-connected quivers with zero weight.
+system.  The polytopes are normal, so piece k is the sumset of piece k - 1
+and the degree-one points.  The bipartite one-sided-matching semigroup is
+that of a quiver polytope (`_matching_polytope`) and takes the same route;
+the module also gives the degree of relations between cycle products on
+strongly connected quivers with zero weight.
 
 Flows travel as dicts at the API boundary and as tuples (ordered by sorted
-arrow id) inside it.  The connectivity scans pack each flow into one int,
-a field per coordinate with a guard bit on top, so a divisibility test is
-one subtraction and one mask (SIMD within a register; Lamport, "Multiple
-byte processing with full-word instructions", CACM 1975).
+arrow id) inside it.  Graded pieces are sorted lists of flows packed into
+one int each, a field per coordinate with a guard bit on top and the first
+coordinate highest: int order is lex order, a sum of flows is one
+addition, and a divisibility test is one subtraction and one mask (SIMD
+within a register; Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975).
 """
 
 import functools
@@ -22,19 +26,18 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import (
-    EmptyPolyhedron,
     EmptyWeight,
     InputError,
     NotBipartite,
     NotInSemigroup,
     NotParallel,
+    SearchCapExceeded,
     UnsupportedCase,
 )
 from .polytope import (
     DEFAULT_MAX_NODES,
     _NodeBudget,
     _fresh,
-    dimension,
     generation_degree,
     greedy_factorization,
     lattice_points,
@@ -67,6 +70,13 @@ class GradedSemigroup:
     Only acyclic quivers are supported: with oriented cycles and a nonzero
     weight the degree-one piece is infinite, and the zero-weight cyclic
     situation is served by affine_relation_degree instead.
+
+    The degree-one piece is the `lattice_points` walk.  The polytope is
+    normal, so each piece k >= 2 is the sumset of piece k - 1 and the
+    generators; pieces are kept as sorted lists of `_pack`ed ints in
+    fields of (k * largest generator coordinate).bit_length() bits.
+    `max_nodes` caps the walk's search nodes, and separately the
+    |piece k - 1| * |generators| additions that build each piece.
     """
 
     def __init__(self, quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES):
@@ -80,27 +90,56 @@ class GradedSemigroup:
         self.weight = dict(weight)
         self.max_nodes = max_nodes
         self.arrow_ids = tuple(quiver.sorted_arrow_ids())
-        self._pieces: dict[int, tuple] = {0: (tuple(0 for _ in self.arrow_ids),)}
-        self.generators = self.graded_piece(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyWeight)
+            pts = lattice_points(quiver, self.weight, 1, max_nodes=max_nodes)
+        self.generators = tuple(tuple(p[a] for a in self.arrow_ids) for p in pts)
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
+        self._top = max(itertools.chain.from_iterable(self.generators), default=0)
+        self._packed_generators: dict[int, list] = {}  # field width -> packed generators
+        self._pieces = [[0], self._generators_at(self._width(1))]  # sorted packed ints
 
-    def graded_piece(self, k: int) -> tuple:
-        """Sorted tuple of all degree-k elements, as flow tuples."""
-        if k < 0:
-            raise InputError("degree must be non-negative")
-        if k not in self._pieces:
-            scaled = {v: k * w for v, w in self.weight.items()}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyWeight)
-                pts = lattice_points(self.quiver, scaled, 1, max_nodes=self.max_nodes)
-            self._pieces[k] = tuple(
-                tuple(p[a] for a in self.arrow_ids) for p in pts
-            )
+    def _width(self, k: int) -> int:
+        """Field width of piece k: every degree-k coordinate is below 2**width."""
+        return (k * self._top).bit_length()
+
+    def _generators_at(self, width: int) -> list:
+        if width not in self._packed_generators:
+            self._packed_generators[width] = [_pack(g, width) for g in self.generators]
+        return self._packed_generators[width]
+
+    def _packed_piece(self, k: int) -> list:
+        """The degree-k piece as sorted ints packed at `_width(k)`.  Each
+        missing piece is the sumset of the one below it, repacked first
+        when the width grows, and the generators; its additions are counted
+        against `max_nodes` before any is made."""
+        while len(self._pieces) <= k:
+            j = len(self._pieces)
+            below = self._pieces[-1]
+            cost = len(below) * len(self.generators)
+            if cost > self.max_nodes:
+                raise SearchCapExceeded(
+                    f"graded piece {j} needs {cost} additions, over {self.max_nodes}",
+                    degree=j,
+                    max_nodes=self.max_nodes,
+                )
+            width, narrow = self._width(j), self._width(j - 1)
+            if width != narrow:
+                n = len(self.arrow_ids)
+                below = [_pack(_unpack(p, narrow, n), width) for p in below]
+            piece = set()
+            for g in self._generators_at(width):
+                piece.update(map(g.__add__, below))
+            self._pieces.append(sorted(piece))
         return self._pieces[k]
 
-    def dimension(self) -> int:
-        """Dimension of the polytope (`polytope.dimension`)."""
-        return dimension(self.quiver, self.weight)
+    def graded_piece(self, k: int) -> tuple:
+        """Sorted tuple of all degree-k elements, as flow tuples: the packed
+        piece, unpacked."""
+        if k < 0:
+            raise InputError("degree must be non-negative")
+        width, n = self._width(k), len(self.arrow_ids)
+        return tuple(_unpack(p, width, n) for p in self._packed_piece(k))
 
     @functools.cached_property
     def generation_degree(self) -> int:
@@ -212,7 +251,8 @@ def divisor_graph(semigroup: GradedSemigroup, element: dict, degree: int) -> Div
 
 def _pack(values, width: int) -> int:
     """The values, each below 2**width, as one int: fields of width + 1
-    bits, the first value lowest, the top bit of each field its guard.
+    bits, the first value highest (so int order is the lex order of the
+    value tuples), the top bit of each field its guard.
 
     With `guards` the packed (2**width, ...), `((y | guards) - x) & guards
     == guards` exactly when x <= y in every field: a field that goes
@@ -220,9 +260,15 @@ def _pack(values, width: int) -> int:
     """
     field = width + 1
     packed = 0
-    for x in reversed(values):
+    for x in values:
         packed = (packed << field) | x
     return packed
+
+
+def _unpack(packed: int, width: int, n: int) -> tuple:
+    """The n values of `_pack(values, width)`, guard bits clear."""
+    field, mask = width + 1, (1 << width) - 1
+    return tuple((packed >> (field * i)) & mask for i in range(n - 1, -1, -1))
 
 
 def _divisors_connected(packed: list, target: int, guards: int) -> bool:
@@ -251,18 +297,17 @@ def _divisors_connected(packed: list, target: int, guards: int) -> bool:
 
 def _disconnected(semigroup: GradedSemigroup, k: int):
     """The degree-k elements (k >= 2) whose divisor graph has more than one
-    component, in piece order.  Fields are w = (k * largest generator
-    coordinate).bit_length() bits under the guard: the semigroup is
-    generated in degree one, so every degree-k coordinate, and every sum
-    of two generators, is below 2**w.
+    component, in piece order.  The packed piece has fields of w = (k *
+    largest generator coordinate).bit_length() bits under the guard: the
+    semigroup is generated in degree one, so every degree-k coordinate,
+    and every sum of two generators, is below 2**w.
     """
-    top = max(itertools.chain.from_iterable(semigroup.generators), default=0)
-    width = (k * top).bit_length()
-    guards = _pack((1 << width,) * len(semigroup.arrow_ids), width)
-    packed = [_pack(g, width) for g in semigroup.generators]
-    for tup in semigroup.graded_piece(k):
-        if not _divisors_connected(packed, _pack(tup, width) | guards, guards):
-            yield tup
+    width, n = semigroup._width(k), len(semigroup.arrow_ids)
+    packed = semigroup._generators_at(width)
+    guards = _pack((1 << width,) * n, width)
+    for target in semigroup._packed_piece(k):
+        if not _divisors_connected(packed, target | guards, guards):
+            yield _unpack(target, width, n)
 
 
 def _representative(semigroup: GradedSemigroup, tup: tuple, degree: int, first: tuple) -> tuple:
@@ -278,9 +323,8 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     For each element whose divisor graph splits into c > 1 components the
     ideal needs exactly c - 1 generators; they pair a representative
     factorization of the first component against one from each other.
-    Split elements are found by the packed test of `_disconnected` (a field
-    of (k * largest generator coordinate).bit_length() bits and a guard bit
-    per arrow); only those get a tuple-level `divisor_graph`.  Degrees
+    Split elements are found by the packed test of `_disconnected`; only
+    those get a tuple-level `divisor_graph`.  Degrees
     above `semigroup.generation_degree` (d + 2 - codeg) hold no split
     element, so the scan stops there when that is below `max_degree`.
     """
@@ -309,17 +353,16 @@ def certify_degree_bound(semigroup: GradedSemigroup, bound: int, horizon: int | 
     generator lies; an explicit horizon scans exactly what it names.  A
     horizon at or below the bound leaves nothing to scan and certifies
     vacuously.  Returns (True, None) or (False, first violation).  Each
-    element is screened by the packed test of `_disconnected`, in fields of
-    (k * largest generator coordinate).bit_length() bits under a guard bit.
+    element is screened by the packed test of `_disconnected`.
     """
     if bound < 1:
         raise InputError("bound must be positive")
+    if horizon is not None and horizon < 1:
+        raise InputError("horizon must be positive")
     if not semigroup.generators:
         return True, None
     if horizon is None:
         horizon = semigroup.generation_degree
-    elif horizon < 1:
-        raise InputError("horizon must be positive")
     for k in range(bound + 1, horizon + 1):
         for tup in _disconnected(semigroup, k):
             graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
@@ -441,32 +484,14 @@ def _osm_parts(quiver: Quiver) -> tuple:
 
 
 def osm_lattice_points(quiver: Quiver) -> list:
-    """All one-sided matchings: one arrow per source, at most one per sink."""
-    sources, _ = _osm_parts(quiver)
+    """All one-sided matchings (one arrow per source, at most one per
+    sink): the degree-one points of the matching polytope
+    (`_matching_polytope`) with the slack arrows forgotten, sorted."""
+    semigroup = GradedSemigroup(*_matching_polytope(quiver))
     arrow_ids = quiver.sorted_arrow_ids()
-    out = []
-
-    def extend(i: int, picked: dict, used_sinks: set):
-        if i == len(sources):
-            flow = {a: 0 for a in arrow_ids}
-            for aid in picked.values():
-                flow[aid] = 1
-            out.append(flow)
-            return
-        v = sources[i]
-        for arrow in sorted(quiver.out_arrows(v), key=lambda a: a.id):
-            if arrow.head in used_sinks:
-                continue
-            picked[v] = arrow.id
-            used_sinks.add(arrow.head)
-            extend(i + 1, picked, used_sinks)
-            used_sinks.discard(arrow.head)
-            del picked[v]
-
-    extend(0, {}, set())
-    del extend  # a recursive closure is a reference cycle: unbind it so `out` frees
-    out.sort(key=lambda f: tuple(f[a] for a in arrow_ids))
-    return out
+    keep = [semigroup.arrow_ids.index(a) for a in arrow_ids]
+    matchings = sorted(tuple(g[i] for i in keep) for g in semigroup.generators)
+    return [dict(zip(arrow_ids, m)) for m in matchings]
 
 
 def _matching_polytope(quiver: Quiver) -> tuple:
@@ -488,106 +513,18 @@ def _matching_polytope(quiver: Quiver) -> tuple:
     return Quiver(list(quiver.vertices) + [z], list(quiver.arrows) + slack), weight
 
 
-def _osm_piece(quiver: Quiver, sources: list, sinks: list, k: int, budget: _NodeBudget) -> list:
-    """All degree-k elements of the one-sided-matching semigroup."""
-    arrow_ids = quiver.sorted_arrow_ids()
-    pos = {a: i for i, a in enumerate(arrow_ids)}
-    sink_cap = {w: k for w in sinks}
-    out_arrows = {
-        v: sorted(quiver.out_arrows(v), key=lambda a: a.id) for v in sources
-    }
-    results = []
-    current = [0] * len(arrow_ids)
-    sink_load = {w: 0 for w in sinks}
-
-    def fill_source(si: int):
-        budget.spend()
-        if si == len(sources):
-            results.append(tuple(current))
-            return
-        if out_arrows[sources[si]]:  # a source with no arrows kills every degree-k element
-            comp(si, 0, k)
-
-    def comp(si: int, ai: int, remaining: int):
-        arrows = out_arrows[sources[si]]
-        arrow = arrows[ai]
-        if ai == len(arrows) - 1:
-            if sink_load[arrow.head] + remaining > sink_cap[arrow.head]:
-                return
-            current[pos[arrow.id]] = remaining
-            sink_load[arrow.head] += remaining
-            fill_source(si + 1)
-            sink_load[arrow.head] -= remaining
-            current[pos[arrow.id]] = 0
-            return
-        top = min(remaining, sink_cap[arrow.head] - sink_load[arrow.head])
-        for take in range(top + 1):
-            current[pos[arrow.id]] = take
-            sink_load[arrow.head] += take
-            comp(si, ai + 1, remaining - take)
-            sink_load[arrow.head] -= take
-            current[pos[arrow.id]] = 0
-
-    fill_source(0)
-    del fill_source, comp  # recursive closures are reference cycles: unbind them so `results` frees
-    results.sort()
-    return results
-
-
-def _osm_certified(quiver: Quiver, bound: int, horizon: int, budget: _NodeBudget) -> bool:
-    """Divisor-graph connectivity on the one-sided-matching semigroup.
-
-    The nodes of a degree-k element s are the matchings m <= s that meet
-    every sink that s fills to k; two nodes are joined when m + m' <= s and
-    s exceeds m + m' by at most k - 2 at every sink.  Both are the packed
-    test of `_divisors_connected`, with one more field per sink: 1 minus
-    the sink degree for a matching, k minus it for s.  Fields are
-    k.bit_length() bits under the guard, as every field of s is at most k
-    and every field of a pair of matchings at most 2 (bound >= 1).
-    """
-    sources, sinks = _osm_parts(quiver)
-    arrow_ids = quiver.sorted_arrow_ids()
-    head_pos = [sinks.index(quiver.arrow(a).head) for a in arrow_ids]
-
-    def extended(tup: tuple, top: int) -> tuple:  # tup, then top - degree at each sink
-        slack = [top] * len(sinks)
-        for i, val in zip(head_pos, tup):
-            slack[i] -= val
-        return tup + tuple(slack)
-
-    matchings = [tuple(m[a] for a in arrow_ids) for m in osm_lattice_points(quiver)]
-    for k in range(bound + 1, horizon + 1):
-        width = k.bit_length()
-        guards = _pack((1 << width,) * (len(arrow_ids) + len(sinks)), width)
-        packed = [_pack(extended(m, 1), width) for m in matchings]
-        for s in _osm_piece(quiver, sources, sinks, k, budget):
-            if not _divisors_connected(packed, _pack(extended(s, k), width) | guards, guards):
-                return False
-    return True
-
-
 def osm_certify_degree3(
     quiver: Quiver, horizon: int | None = None, max_nodes: int = DEFAULT_MAX_NODES
 ) -> bool:
-    """Certify the degree-3 bound for the one-sided-matching semigroup, by
-    divisor-graph connectivity on the matching semigroup itself.
+    """Certify the degree-3 bound for the one-sided-matching semigroup:
+    `certify_degree_bound` on the semigroup of the matching polytope
+    (`_matching_polytope`), which is the matching semigroup.
 
-    Scans degrees in (3, horizon].  The default horizon is d + 2 - codeg
-    of the matching polytope (`_matching_polytope`), above which no minimal
-    generator lies (`polytope.generation_degree`); when that polytope is
-    empty there is nothing to scan.  An explicit horizon scans exactly what
-    it names.  Agreement with `certify_degree_bound` on the matching polytope
-    is checked by the tests, not at run time.
+    Scans degrees in (3, horizon]; the default horizon is d + 2 - codeg of
+    the matching polytope, and an empty one leaves nothing to scan.
     """
-    _osm_parts(quiver)
-    if horizon is None:
-        try:
-            horizon = generation_degree(*_matching_polytope(quiver))
-        except EmptyPolyhedron:
-            return True
-    elif horizon < 1:
-        raise InputError("horizon must be positive")
-    return _osm_certified(quiver, 3, horizon, _NodeBudget(max_nodes))
+    semigroup = GradedSemigroup(*_matching_polytope(quiver), max_nodes)
+    return certify_degree_bound(semigroup, 3, horizon)[0]
 
 
 def affine_relation_degree(quiver: Quiver, max_nodes: int = DEFAULT_MAX_NODES) -> int:

@@ -360,21 +360,70 @@ def minimal_generators_reference(semigroup, max_degree):
 
 # -- tuple-level one-sided-matching certificate ---------------------------------
 #
-# The divisor-graph scan of the one-sided-matching semigroup written on flow
-# tuples and sink-degree dicts, with every edge tested: the reference for the
-# packed-integer scan in torquiv.ideal.
+# The one-sided-matching semigroup enumerated by its own backtracking, and its
+# divisor-graph scan written on flow tuples and sink-degree dicts, with every
+# edge tested: the references for the matching polytope's semigroup in
+# torquiv.ideal.
+
+
+def _osm_piece(quiver, sources, sinks, k, budget):
+    """All degree-k elements of the one-sided-matching semigroup, sorted:
+    k units out of each source, at most k into each sink."""
+    arrow_ids = quiver.sorted_arrow_ids()
+    pos = {a: i for i, a in enumerate(arrow_ids)}
+    sink_cap = {w: k for w in sinks}
+    out_arrows = {
+        v: sorted(quiver.out_arrows(v), key=lambda a: a.id) for v in sources
+    }
+    results = []
+    current = [0] * len(arrow_ids)
+    sink_load = {w: 0 for w in sinks}
+
+    def fill_source(si: int):
+        budget.spend()
+        if si == len(sources):
+            results.append(tuple(current))
+            return
+        if out_arrows[sources[si]]:  # a source with no arrows kills every degree-k element
+            comp(si, 0, k)
+
+    def comp(si: int, ai: int, remaining: int):
+        arrows = out_arrows[sources[si]]
+        arrow = arrows[ai]
+        if ai == len(arrows) - 1:
+            if sink_load[arrow.head] + remaining > sink_cap[arrow.head]:
+                return
+            current[pos[arrow.id]] = remaining
+            sink_load[arrow.head] += remaining
+            fill_source(si + 1)
+            sink_load[arrow.head] -= remaining
+            current[pos[arrow.id]] = 0
+            return
+        top = min(remaining, sink_cap[arrow.head] - sink_load[arrow.head])
+        for take in range(top + 1):
+            current[pos[arrow.id]] = take
+            sink_load[arrow.head] += take
+            comp(si, ai + 1, remaining - take)
+            sink_load[arrow.head] -= take
+            current[pos[arrow.id]] = 0
+
+    fill_source(0)
+    del fill_source, comp  # recursive closures are reference cycles: unbind them so `results` frees
+    results.sort()
+    return results
 
 
 def osm_certified_reference(quiver, bound, horizon, max_nodes=1_000_000):
     """Are the divisor graphs of all one-sided-matching elements in degrees
     (bound, horizon] connected?"""
-    from torquiv.ideal import _osm_parts, _osm_piece, osm_lattice_points
+    from torquiv.ideal import _osm_parts
     from torquiv.polytope import _NodeBudget
 
     sources, sinks = _osm_parts(quiver)
     arrow_ids = quiver.sorted_arrow_ids()
     heads = {a.id: a.head for a in quiver.arrows}
-    matchings = [tuple(m[a] for a in arrow_ids) for m in osm_lattice_points(quiver)]
+    budget = _NodeBudget(max_nodes)
+    matchings = _osm_piece(quiver, sources, sinks, 1, budget)
 
     def fits(small, big):
         return all(x <= y for x, y in zip(small, big))
@@ -386,7 +435,6 @@ def osm_certified_reference(quiver, bound, horizon, max_nodes=1_000_000):
                 deg[heads[aid]] += val
         return deg
 
-    budget = _NodeBudget(max_nodes)
     for k in range(bound + 1, horizon + 1):
         for s in _osm_piece(quiver, sources, sinks, k, budget):
             deg_s = sink_degrees(s)

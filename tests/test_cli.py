@@ -11,6 +11,7 @@ import pytest
 import torquiv
 from helpers import kronecker, path_pair, quiver_a, two_cycle
 
+from torquiv import Quiver
 from torquiv.cli import main
 
 
@@ -226,6 +227,28 @@ def test_deep_walk_reports_search_cap_exit_two(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "search-cap-exceeded"
+
+
+def test_zero_horizon_is_rejected_before_an_empty_semigroup_certifies(tmp_path, capsys):
+    # two vertices, no arrows: an empty polytope and an empty matching polytope
+    path = write_pair(tmp_path / "empty.json", Quiver(["s", "t"], []), {"s": -1, "t": 1})
+    for argv in (["certify", path, "--bound", "3"], ["osm", path, "--certify"]):
+        code, out = run_cli(capsys, *argv, "--horizon", "0")
+        assert code == 1, argv
+        assert json.loads(out)["message"] == "horizon must be positive"
+        code, out = run_cli(capsys, *argv, "--horizon", "4")
+        assert code == 0 and json.loads(out)["verdict"] is True, argv
+
+
+def test_osm_certify_ladder_d4_reports_the_capped_piece(capsys):
+    # the matching semigroup's degree-4 piece would take 119,731 * 156
+    # additions; the cap stops it before the sums are formed
+    path = Path(__file__).resolve().parents[1] / "corpus" / "ladder_d4.json"
+    code, out = run_cli(capsys, "osm", "--certify", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "search-cap-exceeded"
+    assert doc["detail"] == {"degree": 4, "max_nodes": 10_000_000}
 
 
 def test_localize_long_path(tmp_path, capsys):

@@ -14,7 +14,6 @@ from torquiv.ideal import (
     _disconnected,
     _matching_polytope,
     _osm_parts,
-    _osm_piece,
     certify_degree_bound,
     minimal_generators,
     osm_certify_degree3,
@@ -23,6 +22,7 @@ from torquiv.ideal import (
 from torquiv.polytope import _NodeBudget, generation_degree
 
 from helpers import (
+    _osm_piece,
     codegree_reference,
     complete_bipartite,
     kronecker,
@@ -91,7 +91,7 @@ def test_no_split_element_above_the_generation_degree():
         sg = GradedSemigroup(q, w)
         if not sg.generators:
             continue
-        d = sg.dimension()
+        d = dimension(q, w)
         top = sg.generation_degree
         assert top == d + 2 - codegree_reference(q, w), stem
         for k in range(max(2, top + 1), d + 2):
@@ -171,30 +171,37 @@ BIPARTITE_STEMS = [
 
 
 def _matching_pieces_agree(quiver, degrees):
+    """The matching polytope's pieces, by the lattice walk and as the
+    semigroup's sumsets, with the slack arrows forgotten, are the
+    one-sided-matching elements of each degree."""
     sources, sinks = _osm_parts(quiver)
     mq, mw = _matching_polytope(quiver)
     ids = quiver.sorted_arrow_ids()
     assert set(ids) < set(mq.sorted_arrow_ids())
+    sg = GradedSemigroup(mq, mw)
+    keep = [sg.arrow_ids.index(a) for a in ids]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyWeight)
         ones = lattice_points(mq, mw, 1)
         assert [{a: p[a] for a in ids} for p in ones] == osm_lattice_points(quiver)
         for k in degrees:
+            expected = _osm_piece(quiver, sources, sinks, k, _NodeBudget(10**7))
             piece = sorted(tuple(p[a] for a in ids) for p in lattice_points(mq, mw, k))
-            assert piece == _osm_piece(quiver, sources, sinks, k, _NodeBudget(10**7)), k
+            assert piece == expected, k
+            assert sorted(tuple(p[i] for i in keep) for p in sg.graded_piece(k)) == expected, k
     return bool(ones)
 
 
 def test_matching_polytope_on_the_bipartite_corpus():
     for stem in BIPARTITE_STEMS:
-        assert _matching_pieces_agree(CORPUS[stem][0], (2, 3)), stem
+        assert _matching_pieces_agree(CORPUS[stem][0], (1, 2, 3)), stem
 
 
 def test_matching_polytope_on_random_bipartite_quivers():
     rng = random.Random(616)
     drawn = nonempty = 0
     while nonempty < 30:
-        nonempty += _matching_pieces_agree(random_bipartite(rng), (2, 3))
+        nonempty += _matching_pieces_agree(random_bipartite(rng), (1, 2, 3))
         drawn += 1
     assert drawn - nonempty >= 10
 
@@ -208,38 +215,26 @@ def test_matching_polytope_names_stay_fresh():
 
 
 def test_osm_default_horizons(monkeypatch):
-    horizons = {}
+    # the certificate scans degrees 4..horizon of the matching polytope's
+    # semigroup; the stand-in scan records them and finds nothing split
+    seen = []
 
-    def recording(quiver, bound, horizon, budget):
-        horizons[quiver] = horizon
-        return True
+    def recording(semigroup, k):
+        seen.append(k)
+        return iter(())
 
-    monkeypatch.setattr(ideal, "_osm_certified", recording)
+    monkeypatch.setattr(ideal, "_disconnected", recording)
     expected = {"ladder_d3": 7, "ladder_d4": 11, "bipartite_k33": 3}
     for stem, horizon in expected.items():
         q = CORPUS[stem][0]
         assert osm_certify_degree3(q) is True
-        assert horizons.pop(q) == horizon, stem
+        assert seen == list(range(4, horizon + 1)), stem
         assert horizon == generation_degree(*_matching_polytope(q))
-    assert osm_certify_degree3(q, horizon=5) and horizons.pop(q) == 5
+        seen.clear()
+    assert osm_certify_degree3(q, horizon=5) and seen == [4, 5]
+    seen.clear()
     # more sources than sinks: the matching polytope is empty, nothing to scan
     q21, _ = complete_bipartite(2, 1)
     with pytest.raises(EmptyPolyhedron):
         generation_degree(*_matching_polytope(q21))
-    assert osm_certify_degree3(q21) is True and not horizons
-
-
-def test_osm_certificate_agrees_with_certify_on_the_matching_polytope():
-    rng = random.Random(717)
-    verdicts = []
-    while len(verdicts) < 30:
-        q = random_bipartite(rng)
-        sg = GradedSemigroup(*_matching_polytope(q))
-        if not sg.generators:
-            continue
-        for bound in (1, 2):
-            horizon = max(bound + 1, sg.dimension() + 1)
-            expected, _ = certify_degree_bound(sg, bound, horizon)
-            assert ideal._osm_certified(q, bound, horizon, _NodeBudget(10**7)) == expected
-            verdicts.append(expected)
-    assert 0 < verdicts.count(False) < len(verdicts)
+    assert osm_certify_degree3(q21) is True and not seen

@@ -16,14 +16,14 @@ from torquiv import (
     collapse_parallel,
     dimension,
     divisor_graph,
+    lattice_points,
     lift_generators,
     minimal_generators,
     osm_certify_degree3,
     osm_lattice_points,
 )
 from torquiv.corpus import acyclic_corpus_pairs
-from torquiv.ideal import _disconnected, _osm_certified
-from torquiv.polytope import _NodeBudget
+from torquiv.ideal import _disconnected, _matching_polytope
 from torquiv.errors import (
     EmptyPolyhedron,
     EmptyWeight,
@@ -44,6 +44,7 @@ from helpers import (
     quiver_a,
     random_acyclic,
     random_bipartite,
+    rational_rank,
     rewriting_connected,
     two_cycle,
 )
@@ -76,6 +77,36 @@ def test_semigroup_unbalanced_weight_is_empty():
         assert sg.generators == ()
         assert sg.graded_piece(3) == ()
     assert not [c for c in caught if issubclass(c.category, EmptyWeight)]
+
+
+def _walk_piece(sg, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyWeight)
+        points = lattice_points(sg.quiver, sg.weight, k)
+    return tuple(sorted(tuple(p[a] for a in sg.arrow_ids) for p in points))
+
+
+def test_sumset_pieces_match_the_lattice_walk():
+    # piece k is built as piece k - 1 plus the generators; the walk
+    # enumerates it directly.  Draws with largest coordinate 1 widen their
+    # fields from 2 to 3 bits between degrees 3 and 4.
+    cases = [GradedSemigroup(q, w) for _, q, w in acyclic_corpus_pairs() if len(q.arrows) <= 12]
+    cases.append(GradedSemigroup(kronecker()[0], {"s": 1, "t": -1}))  # empty
+    cases.append(GradedSemigroup(Quiver(["s", "t"], []), {"s": 0, "t": 0}))  # no arrows
+    rng = random.Random(5150)
+    for _ in range(120):
+        cases.append(GradedSemigroup(*random_acyclic(rng, max_vertices=4, max_arrows=6, weight_bound=2)))
+    seen = {"empty": 0, "no arrows": 0, "top 1": 0, "top > 1": 0}
+    for sg in cases:
+        for k in range(2, 6):
+            assert sg.graded_piece(k) == _walk_piece(sg, k), (sg.quiver, sg.weight, k)
+        top = max((x for g in sg.generators for x in g), default=None)
+        seen["empty"] += top is None
+        seen["no arrows"] += bool(sg.generators) and not sg.arrow_ids
+        seen["top 1"] += top == 1
+        seen["top > 1"] += top is not None and top > 1
+    assert seen["empty"] >= 10 and seen["no arrows"] >= 1, seen
+    assert seen["top 1"] >= 10 and seen["top > 1"] >= 10, seen
 
 
 # -- divisor graphs -----------------------------------------------------------
@@ -170,7 +201,7 @@ def oracle_by_degree():
     degree from 2 to max(4, dimension + 1)."""
     out = []
     for stem, sg in _scan_cases():
-        dim = sg.dimension()
+        dim = dimension(sg.quiver, sg.weight)
         out.append((stem, sg, dim, {k: _oracle(sg, k) for k in range(2, max(4, dim + 1) + 1)}))
     return out
 
@@ -339,18 +370,20 @@ def test_certify_allows_horizon_below_bound():
 
 
 def test_generator_support_dimension_matches_polytope_dimension():
-    # the semigroup reports the polytope's dimension, and raises on an empty one
-    for stem, q, w in acyclic_corpus_pairs():
-        assert GradedSemigroup(q, w).dimension() == dimension(q, w), stem
+    # the generators span an affine space of the polytope's dimension, and
+    # an empty semigroup has no dimension
+    cases = [GradedSemigroup(q, w) for _, q, w in acyclic_corpus_pairs()]
     rng = random.Random(41)
     for _ in range(40):
-        q, w = random_acyclic(rng, max_vertices=4, max_arrows=6, weight_bound=2)
-        sg = GradedSemigroup(q, w)
+        cases.append(GradedSemigroup(*random_acyclic(rng, max_vertices=4, max_arrows=6, weight_bound=2)))
+    for sg in cases:
         if sg.generators:
-            assert sg.dimension() == dimension(q, w), (q, w)
+            first = sg.generators[0]
+            rank = rational_rank([[x - y for x, y in zip(g, first)] for g in sg.generators[1:]])
+            assert dimension(sg.quiver, sg.weight) == rank, (sg.quiver, sg.weight)
         else:
             with pytest.raises(EmptyPolyhedron):
-                sg.dimension()
+                dimension(sg.quiver, sg.weight)
 
 
 def test_certify_empty_semigroup_is_vacuous():
@@ -509,17 +542,21 @@ def test_osm_certify_random_bipartite():
 
 
 def test_osm_packed_scan_matches_tuple_reference():
-    # parallel arrows and isolated vertices included; degree 4 at most.  The
-    # sink conditions decide the verdict of K(2,3) at bound 2, for one.
+    # the matching polytope's semigroup scanned at bounds 1-3 against the
+    # tuple-level scan of the matching semigroup; parallel arrows and
+    # isolated vertices included, degree 4 at most.  The sink conditions
+    # decide the verdict of K(2,3) at bound 2, for one.
     rng = random.Random(6180)
     cases = [complete_bipartite(m, n)[0] for m, n in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3))]
     cases += [random_bipartite(rng) for _ in range(120)]
     verdicts = []
     for q in cases:
+        sg = GradedSemigroup(*_matching_polytope(q), max_nodes=1_000_000)
         for bound in (1, 2, 3):
-            verdict = _osm_certified(q, bound, 4, _NodeBudget(1_000_000))
+            verdict, _ = certify_degree_bound(sg, bound, 4)
             assert verdict == osm_certified_reference(q, bound, 4), (q, bound)
             verdicts.append(verdict)
+        assert osm_certify_degree3(q, 4) == verdict
     assert verdicts.count(False) >= 5
     assert verdicts.count(True) >= 100
 
