@@ -3,8 +3,9 @@
 Four interlocking pieces:
 
 * enumeration of the loopless 2-vertex-connected multigraphs with all
-  valencies >= 3 and a given cycle rank, and of the contraction-maximal
-  ones among them, which are exactly the 3-regular ones;
+  valencies >= 3 and a given cycle rank, grown from those of one rank
+  less by one-edge moves, and of the contraction-maximal ones among them,
+  which are exactly the 3-regular ones and grow by the last move alone;
 * enumeration of the acyclic quivers built on those graphs by orienting
   edges or subdividing them with sinks, one choice tuple per orbit of the
   graph's automorphisms, and of the strongly connected quivers that stay
@@ -70,72 +71,44 @@ def _check_rank(d, low: int) -> None:
 # -- skeleton graph lists ------------------------------------------------------
 
 
-def _degree_sequences(total: int, parts: int, ceiling: int):
-    """Non-increasing tuples of the given length with entries >= 3 summing
-    to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    hi = min(ceiling, total - 3 * (parts - 1))
-    for first in range(hi, 2, -1):
-        for rest in _degree_sequences(total - first, parts - 1, first):
-            yield (first,) + rest
+def _augmentations(graph: Multigraph, cubic: bool):
+    """(vertex count, edge list) of each graph one edge move away from the
+    graph, on vertices 0..n-1 and the new vertices n and n+1: (a) an edge
+    between two distinct vertices; (b) an edge subdivided by n, which is
+    then joined to any old vertex; (c) two edges subdivided by n and n+1,
+    or one edge subdivided twice, and n joined to n+1.  Parallel copies of
+    an edge are interchangeable, so each class is taken once, and twice in
+    (c) when it has two copies.  With cubic only (c) is made."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    edges = [(index[u], index[v]) for u, v in graph.edges]
+    n = len(graph.vertices)
+    classes = sorted(set(edges))
+    if not cubic:
+        for pair in combinations(range(n), 2):
+            yield n, edges + [pair]
+    for k, (u, v) in enumerate(classes):
+        rest = list(edges)
+        rest.remove((u, v))
+        if not cubic:
+            for x in range(n):
+                yield n + 1, rest + [(u, n), (v, n), (x, n)]
+        yield n + 2, rest + [(u, n), (n, n + 1), (n, n + 1), (n + 1, v)]
+        for x, y in classes[k:]:
+            if (x, y) in rest:
+                both = list(rest)
+                both.remove((x, y))
+                yield n + 2, both + [(u, n), (v, n), (x, n + 1), (y, n + 1), (n, n + 1)]
 
 
-def _labeled_graphs_with_degrees(degrees: tuple):
-    """Loopless labeled multigraphs on 0..n-1 realizing the degree sequence,
-    yielded as {(i, j): multiplicity} over pairs i < j.
-
-    Pairs are filled in lexicographic order; the pair (i, n-1) is the last
-    one touching vertex i, so its multiplicity is forced, which prunes the
-    search hard."""
-    n = len(degrees)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    yield from _fill_pairs(pairs, list(degrees), {}, 0)
-
-
-def _fill_pairs(pairs: list, rem: list, chosen: dict, p: int):
-    if p == len(pairs):
-        if rem[-1] == 0:
-            yield dict(chosen)
-        return
-    i, j = pairs[p]
-    if j == len(rem) - 1:
-        options = (rem[i],) if rem[i] <= rem[j] else ()
-    else:
-        options = range(min(rem[i], rem[j]) + 1)
-    for m in options:
-        if m:
-            chosen[(i, j)] = m
-            rem[i] -= m
-            rem[j] -= m
-        yield from _fill_pairs(pairs, rem, chosen, p + 1)
-        if m:
-            rem[i] += m
-            rem[j] += m
-            del chosen[(i, j)]
-
-
-def _graph_from_multiplicities(n: int, chosen: dict) -> Multigraph:
-    verts = [str(i) for i in range(n)]
-    edges = []
-    for (i, j), m in sorted(chosen.items()):
-        edges.extend([(verts[i], verts[j])] * m)
-    return Multigraph(verts, edges)
-
-
-def _skeleton_keys(degree_sequences) -> list:
-    """Sorted canonical keys of the 2-connected loopless multigraphs with
-    one of the given degree sequences."""
-    keys: set = set()
-    for degrees in degree_sequences:
-        if degrees[0] > sum(degrees) - degrees[0]:
-            continue  # the top vertex could not avoid loops
-        for chosen in _labeled_graphs_with_degrees(degrees):
-            g = _graph_from_multiplicities(len(degrees), chosen)
-            if g.is_two_connected():
-                keys.add(canonical_key(g))
+def _skeleton_keys(d: int, cubic: bool) -> list:
+    """Sorted canonical keys of the rank-d skeletons, or of the 3-regular
+    ones, grown from those of rank d - 1 (see enumerate_skeletons)."""
+    if d == 2:
+        return [canonical_key(Multigraph((0, 1), [(0, 1)] * 3))]
+    keys = set()
+    for key in _skeleton_keys(d - 1, cubic):
+        for n, edges in _augmentations(from_canonical_key(key), cubic):
+            keys.add(canonical_key(Multigraph(range(n), edges)))
     return sorted(keys)
 
 
@@ -143,23 +116,35 @@ def enumerate_skeletons(d: int) -> list[Multigraph]:
     """All loopless 2-vertex-connected multigraphs with every valency >= 3
     and cycle rank d, one representative per isomorphism class, sorted by
     canonical key.  Such a graph has at most 2d-2 vertices and 3d-3 edges;
-    supported for 2 <= d <= 5."""
+    supported for 2 <= d <= 5.
+
+    The list grows from the theta graph (two vertices, three edges), the
+    only member at d = 2, by the moves (a), (b) and (c) of _augmentations.
+    Each move keeps the graph loopless and 2-connected, gives its new
+    vertices valency 3 and adds one to the cycle rank.  Conversely, let G
+    be a member of rank d >= 3 and take an ear decomposition of it.  Its
+    last ear is a single edge e, since interior vertices of an ear would
+    keep valency 2, and G - e is 2-connected.  Suppressing the ends of e
+    that have valency 2 in G - e (replacing each by one edge between its
+    two neighbours) gives a member H of rank d - 1.  No loop appears: it
+    would come from a cycle of G - e with one vertex of valency above 2,
+    a cut vertex unless G - e is that cycle, of rank 1.  G comes from H by
+    (a) when no end is suppressed, by (b) when one is, and by (c) when
+    both are: on two edges, on two parallel copies of one edge, or on one
+    edge twice when the two ends are adjacent in G - e."""
     _check_rank(d, 2)
-    keys: list = []
-    for n in range(2, 2 * d - 1):
-        e = n + d - 1
-        keys += _skeleton_keys(_degree_sequences(2 * e, n, 2 * e))
-    return [from_canonical_key(k) for k in sorted(keys)]
+    return [from_canonical_key(k) for k in _skeleton_keys(d, False)]
 
 
 def enumerate_maximal_skeletons(d: int) -> list[Multigraph]:
     """The members of enumerate_skeletons(d) that no other member contracts
     onto, sorted by canonical key.  These are exactly the 3-regular members
-    (2d-2 vertices, 3d-3 edges), so only that degree sequence is generated;
-    the tests check the contraction characterization against it."""
+    (2d-2 vertices, 3d-3 edges), and the tests check that characterization.
+    In a 3-regular member both ends of the last ear's edge are suppressed,
+    giving a 3-regular member of rank d - 1, so the list grows from the
+    theta graph by move (c) alone."""
     _check_rank(d, 2)
-    keys = _skeleton_keys([(3,) * (2 * d - 2)])
-    return [from_canonical_key(k) for k in keys]
+    return [from_canonical_key(k) for k in _skeleton_keys(d, True)]
 
 
 # -- quivers on skeletons ------------------------------------------------------

@@ -616,6 +616,90 @@ def quiver_key_reference(quiver):
     )
 
 
+def _degree_sequences(total, parts, ceiling):
+    """Non-increasing tuples of the given length with entries >= 3 summing
+    to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    hi = min(ceiling, total - 3 * (parts - 1))
+    for first in range(hi, 2, -1):
+        for rest in _degree_sequences(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _labeled_graphs_with_degrees(degrees):
+    """Loopless labeled multigraphs on 0..n-1 realizing the degree sequence,
+    yielded as {(i, j): multiplicity} over pairs i < j.
+
+    Pairs are filled in lexicographic order; the pair (i, n-1) is the last
+    one touching vertex i, so its multiplicity is forced, which prunes the
+    search hard."""
+    n = len(degrees)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    yield from _fill_pairs(pairs, list(degrees), {}, 0)
+
+
+def _fill_pairs(pairs, rem, chosen, p):
+    if p == len(pairs):
+        if rem[-1] == 0:
+            yield dict(chosen)
+        return
+    i, j = pairs[p]
+    if j == len(rem) - 1:
+        options = (rem[i],) if rem[i] <= rem[j] else ()
+    else:
+        options = range(min(rem[i], rem[j]) + 1)
+    for m in options:
+        if m:
+            chosen[(i, j)] = m
+            rem[i] -= m
+            rem[j] -= m
+        yield from _fill_pairs(pairs, rem, chosen, p + 1)
+        if m:
+            rem[i] += m
+            rem[j] += m
+            del chosen[(i, j)]
+
+
+def _graph_from_multiplicities(n, chosen):
+    from torquiv import Multigraph
+
+    verts = [str(i) for i in range(n)]
+    edges = []
+    for (i, j), m in sorted(chosen.items()):
+        edges.extend([(verts[i], verts[j])] * m)
+    return Multigraph(verts, edges)
+
+
+def skeleton_keys_reference(d, maximal=False):
+    """Sorted canonical keys of the loopless 2-connected multigraphs with
+    every valency >= 3 and cycle rank d (only the 3-regular ones when
+    maximal), found by keying every 2-connected labeled multigraph of every
+    degree sequence such a graph can have: n <= 2d - 2 vertices, each of
+    valency >= 3, and n + d - 1 edges."""
+    from torquiv import canonical_key
+
+    if maximal:
+        sequences = [(3,) * (2 * d - 2)]
+    else:
+        sequences = [
+            degrees
+            for n in range(2, 2 * d - 1)
+            for degrees in _degree_sequences(2 * (n + d - 1), n, 2 * (n + d - 1))
+        ]
+    keys = set()
+    for degrees in sequences:
+        if degrees[0] > sum(degrees) - degrees[0]:
+            continue  # the top vertex could not avoid loops
+        for chosen in _labeled_graphs_with_degrees(degrees):
+            g = _graph_from_multiplicities(len(degrees), chosen)
+            if g.is_two_connected():
+                keys.add(canonical_key(g))
+    return sorted(keys)
+
+
 def contract_edge(graph, index):
     """Merge the endpoints of edge #index of a multigraph; other copies of
     the same pair become loops, which are dropped, as in the contraction

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -56,6 +58,7 @@ from helpers import (
     opposite_pair,
     quiver_a,
     random_pair,
+    skeleton_keys_reference,
     two_cycle,
 )
 
@@ -140,6 +143,43 @@ def test_maximal_skeletons():
         for g in enumerate_maximal_skeletons(d):
             assert canonical_key(g) in base
             assert all(g.degree(v) == 3 for v in g.vertices)
+
+
+def test_skeleton_lists_match_the_labeled_fill():
+    for d in (2, 3, 4):
+        got = [canonical_key(g) for g in enumerate_skeletons(d)]
+        assert got == skeleton_keys_reference(d), d
+        got = [canonical_key(g) for g in enumerate_maximal_skeletons(d)]
+        assert got == skeleton_keys_reference(d, maximal=True), d
+
+
+def test_rank_five_skeleton_lists_keep_their_digests():
+    # the labeled fill takes minutes at d = 5; these are its lists' digests
+    for enumerate_, count, digest in (
+        (enumerate_skeletons, 118, "51693e33931d"),
+        (enumerate_maximal_skeletons, 16, "34bf1ac5c604"),
+    ):
+        members = [g.to_json() for g in enumerate_(5)]
+        assert len(members) == count
+        text = json.dumps(members, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest()[:12] == digest
+
+
+def test_skeleton_lists_key_one_graph_per_move(monkeypatch):
+    # the labeled fill keys 614 graphs for the first list and 550 for the second
+    import torquiv.classify as classify
+
+    keyed = []
+    real = classify.canonical_key
+
+    def counting(graph):
+        keyed.append(1)
+        return real(graph)
+
+    monkeypatch.setattr(classify, "canonical_key", counting)
+    assert len(classify.enumerate_skeletons(4)) == 17 and len(keyed) == 116
+    keyed.clear()
+    assert len(classify.enumerate_maximal_skeletons(4)) == 5 and len(keyed) == 36
 
 
 def _contraction_maximal(members):

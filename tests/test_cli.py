@@ -194,6 +194,15 @@ def test_skeletons_rank_two_single_member(capsys):
     assert doc["members"][0]["edges"] == [["0", "1"]] * 3
 
 
+def test_skeletons_at_the_top_rank(capsys):
+    for flags, count in (((), 118), (("--maximal",), 16)):
+        code, out = run_cli(capsys, "skeletons", "--d", "5", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == len(doc["members"]) == count
+        assert doc["maximal"] is bool(flags)
+
+
 def test_skeletons_rank_out_of_range_exit_one(capsys):
     code, out = run_cli(capsys, "skeletons", "--d", "9")
     assert code == 1
