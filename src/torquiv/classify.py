@@ -10,8 +10,9 @@ Four interlocking pieces:
   edges or subdividing them with sinks, one choice tuple per orbit of the
   graph's automorphisms, and of the strongly connected quivers that stay
   strongly connected after deleting any single arrow (the zero-weight
-  side), from arrow-count compositions pruned by in- and outdegree; both
-  lists hold one representative per quiver isomorphism class;
+  side), from arrow-count compositions pruned by in- and outdegree, one
+  per orbit of the vertex permutations; both lists hold one
+  representative per quiver isomorphism class;
 * the normal fan of a 2-dimensional pair in spanning-forest coordinates,
   and the identification of its toric surface by ray count, double-checked
   by a lattice-automorphism match against hard-coded reference fans;
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 from .errors import (
@@ -303,12 +304,19 @@ def _all_components_strong(quiver: Quiver) -> bool:
 
 def _strong_everywhere(quiver: Quiver) -> bool:
     """Every component of the quiver, and of the quiver minus any single
-    arrow, is strongly connected."""
+    arrow, is strongly connected.  Deleting one of several parallel arrows
+    leaves the support, and so the components and their strong
+    connectivity, unchanged: only arrows alone on their (tail, head) pair
+    are deleted."""
     if not _all_components_strong(quiver):
         return False
+    ends: dict = {}
+    for a in quiver.arrows:
+        ends.setdefault((a.tail, a.head), []).append(a.id)
     return all(
-        _all_components_strong(quiver.without_arrow(aid))
-        for aid in quiver.sorted_arrow_ids()
+        _all_components_strong(quiver.without_arrow(ids[0]))
+        for ids in ends.values()
+        if len(ids) == 1
     )
 
 
@@ -316,29 +324,53 @@ def _affine_compositions(n: int, e: int):
     """Arrow counts on the ordered pairs (i, j), i != j, of 0..n-1, listed
     row by row, that sum to e and give every vertex in- and outdegree >= 2,
     in lexicographic order.  A row's outdegree is checked when its last
-    pair is filled, a branch stops once fewer than two arrows are left for
-    each later row, and the indegrees are checked at the leaf."""
-    yield from _spread(n, [0] * (n * (n - 1)), 0, e, 0)
+    pair is filled, and a branch stops once fewer than two arrows are left
+    for each later row, or fewer than the indegrees still lack."""
+    yield from _spread(n, [0] * (n * (n - 1)), 0, e, 0, [0] * n, 2 * n)
 
 
-def _spread(n: int, counts: list, p: int, left: int, row_out: int):
+def _spread(n: int, counts: list, p: int, left: int, row_out: int, indeg: list, need: int):
+    # need is the sum over the vertices of max(0, 2 - indegree so far)
     if p == len(counts):
-        indeg = [0] * n
-        for q, m in enumerate(counts):
-            i, r = divmod(q, n - 1)
-            indeg[r + (r >= i)] += m
-        if min(indeg) >= 2:
-            yield tuple(counts)
+        yield tuple(counts)
         return
     row, col = divmod(p, n - 1)
+    head = col + (col >= row)
+    short = max(0, 2 - indeg[head])
     row_end = col == n - 2
     low = max(0, 2 - row_out) if row_end else 0
     if p == len(counts) - 1:
         low = max(low, left)
     for m in range(low, left - 2 * (n - 1 - row) + 1):
+        lack = need - min(m, short)
+        if left - m < lack:  # left - m - lack only falls as m grows
+            break
         counts[p] = m
-        yield from _spread(n, counts, p + 1, left - m, 0 if row_end else row_out + m)
+        indeg[head] += m
+        yield from _spread(
+            n, counts, p + 1, left - m, 0 if row_end else row_out + m, indeg, lack
+        )
+        indeg[head] -= m
     counts[p] = 0
+
+
+def _orbit_least_compositions(n: int, e: int):
+    """The members of _affine_compositions(n, e) that are lexicographically
+    least among their images under the n! permutations of the vertices, in
+    lexicographic order.  The image of counts under a permutation s has
+    counts[(i, j)] on the pair (s(i), s(j))."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    index = {pair: q for q, pair in enumerate(pairs)}
+    relabellings = []
+    for perm in permutations(range(n)):
+        src = [0] * len(pairs)
+        for q, (i, j) in enumerate(pairs):
+            src[index[perm[i], perm[j]]] = q
+        relabellings.append(src)
+    del relabellings[0]  # the identity
+    for counts in _affine_compositions(n, e):
+        if not any(tuple(map(counts.__getitem__, src)) < counts for src in relabellings):
+            yield counts
 
 
 def enumerate_affine_Rdd(d: int) -> list[Quiver]:
@@ -346,27 +378,34 @@ def enumerate_affine_Rdd(d: int) -> list[Quiver]:
     quiver and of every single-arrow deletion is strongly connected, one
     representative per isomorphism class, sorted by canonical key.  Such a
     quiver has every in- and outdegree >= 2 and at most d-1 vertices, so
-    only arrow-count compositions with those degrees are built; supported
-    for 1 <= d <= 5."""
+    only arrow-count compositions with those degrees are built, one per
+    orbit of the vertex permutations; supported for 1 <= d <= 5.
+
+    Two compositions on n vertices give isomorphic quivers exactly when a
+    permutation of the vertices moves one onto the other, and the degree
+    condition, primality and the strong connectivity tests are isomorphism
+    invariants.  So every orbit either passes whole or fails whole, and the
+    lexicographically least composition of each passing orbit (the one
+    _orbit_least_compositions keeps) gives exactly one member per class,
+    with no two keys alike.  It is also the first composition of its class
+    in lexicographic order, the representative a scan of all compositions
+    would keep."""
     _check_rank(d, 1)
     if d == 1:
         return [loop_quiver()]
-    found: dict = {}
+    members = []
     for n in range(2, d):
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         verts = [f"v{i}" for i in range(n)]
-        for assignment in _affine_compositions(n, n + d - 1):
+        for assignment in _orbit_least_compositions(n, n + d - 1):
             arrows = []
             for (i, j), m in zip(pairs, assignment):
                 for c in range(m):
                     arrows.append(Arrow(f"a{i}_{j}_{c}", verts[i], verts[j]))
             candidate = Quiver(verts, arrows)
-            if not is_prime(candidate):
-                continue
-            if not _strong_everywhere(candidate):
-                continue
-            found.setdefault(quiver_key(candidate), candidate)
-    return [found[k] for k in sorted(found)]
+            if is_prime(candidate) and _strong_everywhere(candidate):
+                members.append(candidate)
+    return sorted(members, key=quiver_key)
 
 
 # -- normal fans of 2-dimensional pairs ----------------------------------------

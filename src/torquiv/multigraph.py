@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .errors import SearchCapExceeded
+from .polytope import DEFAULT_MAX_NODES
+
 
 class Multigraph:
     def __init__(self, vertices, edges):
@@ -167,7 +170,11 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
     least encoding has the least block at every position: the search keeps
     all tied prefixes position by position.  A twin of a vertex already
     tried at a prefix is skipped, as swapping the two is an automorphism
-    that fixes the prefix."""
+    that fixes the prefix.
+
+    The block evaluations are added up level by level and checked against
+    DEFAULT_MAX_NODES after each level; over it, SearchCapExceeded is
+    raised before the next level is searched."""
     classes: dict = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
@@ -176,6 +183,7 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
         slots.extend([classes[c]] * len(classes[c]))
     encoding: list = []
     tied = [()]
+    spent = 0
     for k in range(n):
         best = None
         grown = []
@@ -191,6 +199,14 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
                     grown = [prefix + (v,)]
                 elif block == best:
                     grown.append(prefix + (v,))
+            spent += len(tried)
+        if spent > DEFAULT_MAX_NODES:
+            raise SearchCapExceeded(
+                f"canonical search exceeded {DEFAULT_MAX_NODES} block evaluations",
+                search="canonical_key",
+                level=k + 1,
+                max_nodes=DEFAULT_MAX_NODES,
+            )
         encoding.extend(best)
         tied = grown
     return tuple(encoding), tied

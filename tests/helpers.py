@@ -771,6 +771,24 @@ def degree_feasible(n, counts):
     return min(out) >= 2 and min(into) >= 2
 
 
+def orbit_least_compositions_reference(n, e):
+    """The degree-feasible compositions of e over the ordered pairs of n
+    vertices that are lexicographically no larger than any of their images
+    under the n! vertex permutations, in lexicographic order."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    kept = []
+    for counts in compositions_reference(n * (n - 1), e):
+        if not degree_feasible(n, counts):
+            continue
+        on = dict(zip(pairs, counts))
+        if all(
+            counts <= tuple(on[perm[i], perm[j]] for i, j in pairs)
+            for perm in itertools.permutations(range(n))
+        ):
+            kept.append(counts)
+    return kept
+
+
 def enumerate_affine_Rdd_reference(d):
     """Filter every composition by degrees, primality and strong
     connectivity after each single-arrow deletion, keeping the first quiver

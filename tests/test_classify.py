@@ -44,7 +44,11 @@ from torquiv.errors import (
     UnsupportedCase,
     WrongDimension,
 )
-from torquiv.classify import _affine_compositions, _orbit_minimal_choices
+from torquiv.classify import (
+    _affine_compositions,
+    _orbit_least_compositions,
+    _orbit_minimal_choices,
+)
 from torquiv.quiver import components, is_acyclic, is_theta_stable
 
 from helpers import (
@@ -56,6 +60,7 @@ from helpers import (
     enumerate_Rd_reference,
     kronecker,
     opposite_pair,
+    orbit_least_compositions_reference,
     quiver_a,
     random_pair,
     skeleton_keys_reference,
@@ -435,6 +440,32 @@ def test_affine_lists_match_the_unpruned_reference():
     for d in (1, 2, 3, 4, 5):
         got = [q.to_dict() for q in enumerate_affine_Rdd(d)]
         assert got == [q.to_dict() for q in enumerate_affine_Rdd_reference(d)], d
+
+
+def test_affine_orbit_filter_matches_brute_force():
+    for n in (2, 3, 4):
+        for e in range(n + 1, n + 5):
+            got = list(_orbit_least_compositions(n, e))
+            assert got == orbit_least_compositions_reference(n, e), (n, e)
+
+
+def test_affine_list_keys_one_quiver_per_member(monkeypatch):
+    # a scan of every composition keys 5 quivers at d = 4 and 54 at d = 5;
+    # the rank-1 loop quiver is returned without a key
+    import torquiv.classify as classify
+
+    keyed = []
+    real = classify.quiver_key
+
+    def counting(quiver):
+        keyed.append(1)
+        return real(quiver)
+
+    monkeypatch.setattr(classify, "quiver_key", counting)
+    for d, count, calls in ((1, 1, 0), (2, 0, 0), (3, 1, 1), (4, 3, 3), (5, 10, 10)):
+        keyed.clear()
+        assert len(classify.enumerate_affine_Rdd(d)) == count
+        assert len(keyed) == calls, d
 
 
 def _zero_stable_agrees(q):

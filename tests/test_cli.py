@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import torquiv
-from helpers import kronecker, path_pair, quiver_a, two_cycle
+from helpers import enumerate_affine_Rdd_reference, kronecker, path_pair, quiver_a, two_cycle
 
 from torquiv import Quiver
 from torquiv.cli import main
@@ -201,6 +201,14 @@ def test_skeletons_at_the_top_rank(capsys):
         doc = json.loads(out)
         assert doc["count"] == len(doc["members"]) == count
         assert doc["maximal"] is bool(flags)
+
+
+def test_affine_list_at_the_top_rank(capsys):
+    code, out = run_cli(capsys, "affine-list", "--d", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == len(doc["members"]) == 10
+    assert doc["members"] == [q.to_dict() for q in enumerate_affine_Rdd_reference(5)]
 
 
 def test_skeletons_rank_out_of_range_exit_one(capsys):

@@ -2,6 +2,10 @@ import itertools
 import random
 import time
 
+import pytest
+
+import torquiv.multigraph as multigraph
+from torquiv.errors import SearchCapExceeded
 from torquiv.multigraph import (
     Multigraph,
     are_isomorphic,
@@ -319,3 +323,26 @@ def test_twin_heavy_keys_stay_fast():
         case()
         assert time.perf_counter() - start < 0.25
     assert automorphisms(Multigraph(leaves[:5], []))[1] == (0, 1, 2, 4, 3)
+
+
+def disjoint_directed_triangles(k):
+    verts = [f"t{i}_{j}" for i in range(k) for j in range(3)]
+    arcs = [(f"t{i}_{j}", f"t{i}_{(j + 1) % 3}") for i in range(k) for j in range(3)]
+    return verts, arcs
+
+
+def test_canonical_search_spends_the_node_budget(monkeypatch):
+    # k disjoint directed triangles tie about 3^k k! orderings and have no
+    # twins; four take 77,040 block evaluations, five 1,732,725
+    four, five = disjoint_directed_triangles(4), disjoint_directed_triangles(5)
+    key = directed_canonical_key(*four)
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 77_040)
+    assert directed_canonical_key(*four) == key
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 77_039)
+    with pytest.raises(SearchCapExceeded):
+        directed_canonical_key(*four)
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 100_000)
+    with pytest.raises(SearchCapExceeded) as capped:
+        directed_canonical_key(*five)
+    detail = capped.value.to_json()["detail"]
+    assert detail["search"] == "canonical_key" and detail["max_nodes"] == 100_000
