@@ -17,12 +17,14 @@ one int each, a field per coordinate with a guard bit on top and the first
 coordinate highest: int order is lex order, a sum of flows is one
 addition, and a divisibility test is one subtraction and one mask (SIMD
 within a register; Lamport, "Multiple byte processing with full-word
-instructions", CACM 1975).
+instructions", CACM 1975).  Pieces up to degree d + 1 share one width, and
+the packed scan gives each split element's components and factorizations.
 """
 
 import functools
 import itertools
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -36,11 +38,13 @@ from .errors import (
 )
 from .polytope import (
     DEFAULT_MAX_NODES,
+    _codegree,
     _NodeBudget,
     _fresh,
     generation_degree,
     greedy_factorization,
     lattice_points,
+    support_dimension,
 )
 from .quiver import (
     Arrow,
@@ -74,7 +78,9 @@ class GradedSemigroup:
     The degree-one piece is the `lattice_points` walk.  The polytope is
     normal, so each piece k >= 2 is the sumset of piece k - 1 and the
     generators; pieces are kept as sorted lists of `_pack`ed ints in
-    fields of (k * largest generator coordinate).bit_length() bits.
+    fields of (max(k, d + 1) * largest generator coordinate).bit_length()
+    bits, so only a piece above d + 1 repacks the one below.  The polytope
+    is a lattice polytope: its support, and so d, is read off the generators.
     `max_nodes` caps the walk's search nodes, and separately the
     |piece k - 1| * |generators| additions that build each piece.
     """
@@ -96,17 +102,22 @@ class GradedSemigroup:
         self.generators = tuple(tuple(p[a] for a in self.arrow_ids) for p in pts)
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
         self._top = max(itertools.chain.from_iterable(self.generators), default=0)
-        self._packed_generators: dict[int, list] = {}  # field width -> packed generators
-        self._pieces = [[0], self._generators_at(self._width(1))]  # sorted packed ints
+        self._support = {a for a, xs in zip(self.arrow_ids, zip(*self.generators)) if any(xs)}
+        self._dim = support_dimension(quiver, self._support)
+        self._packings: dict[int, tuple] = {}  # field width -> `_packing`
+        self._pieces = [[0], self._packing(1)[1]]  # sorted packed ints
 
     def _width(self, k: int) -> int:
-        """Field width of piece k: every degree-k coordinate is below 2**width."""
-        return (k * self._top).bit_length()
+        """Field width of piece k: every coordinate of degree max(k, d + 1) fits."""
+        return (max(k, self._dim + 1) * self._top).bit_length()
 
-    def _generators_at(self, width: int) -> list:
-        if width not in self._packed_generators:
-            self._packed_generators[width] = [_pack(g, width) for g in self.generators]
-        return self._packed_generators[width]
+    def _packing(self, k: int) -> tuple:
+        """(width, packed generators, guards) of piece k."""
+        width = self._width(k)
+        if width not in self._packings:
+            guards = _pack([1 << width] * len(self.arrow_ids), width)
+            self._packings[width] = width, [_pack(g, width) for g in self.generators], guards
+        return self._packings[width]
 
     def _packed_piece(self, k: int) -> list:
         """The degree-k piece as sorted ints packed at `_width(k)`.  Each
@@ -128,7 +139,7 @@ class GradedSemigroup:
                 n = len(self.arrow_ids)
                 below = [_pack(_unpack(p, narrow, n), width) for p in below]
             piece = set()
-            for g in self._generators_at(width):
+            for g in self._packing(j)[1]:
                 piece.update(map(g.__add__, below))
             self._pieces.append(sorted(piece))
         return self._pieces[k]
@@ -143,9 +154,11 @@ class GradedSemigroup:
 
     @functools.cached_property
     def generation_degree(self) -> int:
-        """d + 2 - codeg (`polytope.generation_degree`): no minimal
-        generator of the ideal lies above it."""
-        return generation_degree(self.quiver, self.weight)
+        """d + 2 - codeg (`polytope.generation_degree`) from the generators'
+        support: no minimal generator of the ideal lies above it."""
+        if not self.generators:
+            return generation_degree(self.quiver, self.weight)
+        return self._dim + 2 - _codegree(self.quiver, self.weight, self._support)
 
     def flow_tuple(self, flow: dict) -> tuple:
         missing = [a for a in self.arrow_ids if a not in flow]
@@ -266,55 +279,72 @@ def _pack(values, width: int) -> int:
 
 
 def _unpack(packed: int, width: int, n: int) -> tuple:
-    """The n values of `_pack(values, width)`, guard bits clear."""
+    """The n values of `_pack(values, width)`, with or without its guards."""
     field, mask = width + 1, (1 << width) - 1
     return tuple((packed >> (field * i)) & mask for i in range(n - 1, -1, -1))
 
 
-def _divisors_connected(packed: list, target: int, guards: int) -> bool:
-    """Is the divisor graph connected?  Its nodes are the packed candidates
-    that fit under the guarded target field by field, its edges the pairs
-    whose sum fits; each pair sum must stay below 2**width in every field.
+def _divisor_components(packed: list, target: int, guards: int) -> list:
+    """The components of a split divisor graph, or [] when it is connected.
+    Its nodes are the packed candidates that fit under the guarded target
+    field by field, its edges the pairs whose sum fits; each pair sum must
+    stay below 2**width in every field.
 
     Breadth-first: each reached node, in the order reached, splits the
-    unreached ones into its neighbours and the rest.
+    unreached ones into its neighbours and the rest.  While some are left,
+    search again from the least of them; the sorted components come in the
+    order of `DivisorGraph.components`.
     """
-    nodes = [g for g in packed if (target - g) & guards == guards]
-    reached, rest = nodes[:1], nodes[1:]
-    for node in reached:  # grows while it is read
-        if not rest:
-            break
-        slack = target - node
-        far = []
-        for g in rest:
-            if (slack - g) & guards == guards:
-                reached.append(g)
-            else:
-                far.append(g)
-        rest = far
-    return not rest
+    rest = [g for g in packed if (target - g) & guards == guards]
+    components = []
+    while rest:
+        reached, rest = rest[:1], rest[1:]
+        for node in reached:  # grows while it is read
+            if not rest:
+                break
+            slack = target - node
+            far = []
+            for g in rest:
+                if (slack - g) & guards == guards:
+                    reached.append(g)
+                else:
+                    far.append(g)
+            rest = far
+        if not (rest or components):
+            return []
+        components.append(sorted(reached))
+    return components
 
 
 def _disconnected(semigroup: GradedSemigroup, k: int):
     """The degree-k elements (k >= 2) whose divisor graph has more than one
-    component, in piece order.  The packed piece has fields of w = (k *
-    largest generator coordinate).bit_length() bits under the guard: the
-    semigroup is generated in degree one, so every degree-k coordinate,
-    and every sum of two generators, is below 2**w.
+    component, in piece order, as (guarded packed element, components).  The
+    fields are at least (k * largest generator coordinate).bit_length() bits:
+    the semigroup is generated in degree one, so every degree-k coordinate,
+    and every sum of two generators, fits under the guard.
     """
-    width, n = semigroup._width(k), len(semigroup.arrow_ids)
-    packed = semigroup._generators_at(width)
-    guards = _pack((1 << width,) * n, width)
+    _, packed, guards = semigroup._packing(k)
     for target in semigroup._packed_piece(k):
-        if not _divisors_connected(packed, target | guards, guards):
-            yield _unpack(target, width, n)
+        target |= guards
+        components = _divisor_components(packed, target, guards)
+        if components:
+            yield target, components
 
 
-def _representative(semigroup: GradedSemigroup, tup: tuple, degree: int, first: tuple) -> tuple:
-    """Factorization starting with the given generator, greedy afterwards."""
-    rest = semigroup.peel(_sub(tup, first), degree - 1)
-    assert rest is not None
-    return tuple(sorted((semigroup.index(first),) + rest))
+def _packed_representative(packed: list, comp: list, target: int, k: int, guards: int) -> tuple:
+    """Indices into `packed` of the degree-k factorization of the guarded
+    target that takes the component's least node, then the picks of
+    `greedy_factorization`.  Every generator under target - comp[0] is its
+    neighbour, so the picks lie in the component, each no less than the
+    one before."""
+    rest, picks, i = target, [], 0
+    for _ in range(k):
+        while (rest - comp[i]) & guards != guards:
+            i += 1
+        rest -= comp[i]
+        picks.append(bisect_left(packed, comp[i]))
+    assert rest == guards
+    return tuple(picks)
 
 
 def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
@@ -323,8 +353,8 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     For each element whose divisor graph splits into c > 1 components the
     ideal needs exactly c - 1 generators; they pair a representative
     factorization of the first component against one from each other.
-    Split elements are found by the packed test of `_disconnected`; only
-    those get a tuple-level `divisor_graph`.  Degrees
+    Split elements, their components and the representatives all come from
+    the packed scan of `_disconnected`.  Degrees
     above `semigroup.generation_degree` (d + 2 - codeg) hold no split
     element, so the scan stops there when that is below `max_degree`.
     """
@@ -333,15 +363,13 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     out = []
     if not semigroup.generators:
         return out
+    n = len(semigroup.arrow_ids)
     for k in range(2, min(max_degree, semigroup.generation_degree) + 1):
-        for tup in _disconnected(semigroup, k):
-            graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
-            reps = [
-                _representative(semigroup, tup, k, graph.nodes[comp[0]])
-                for comp in graph.components
-            ]
-            for other in reps[1:]:
-                out.append(BinomialGen(k, tup, reps[0], other))
+        width, packed, guards = semigroup._packing(k)
+        for target, components in _disconnected(semigroup, k):
+            tup = _unpack(target, width, n)
+            reps = [_packed_representative(packed, c, target, k, guards) for c in components]
+            out += [BinomialGen(k, tup, reps[0], other) for other in reps[1:]]
     return out
 
 
@@ -364,12 +392,10 @@ def certify_degree_bound(semigroup: GradedSemigroup, bound: int, horizon: int | 
     if horizon is None:
         horizon = semigroup.generation_degree
     for k in range(bound + 1, horizon + 1):
-        for tup in _disconnected(semigroup, k):
-            graph = divisor_graph(semigroup, semigroup.flow_dict(tup), k)
-            grouped = tuple(
-                tuple(graph.nodes[i] for i in comp) for comp in graph.components
-            )
-            return False, DegreeViolation(k, tup, grouped)
+        width, n = semigroup._width(k), len(semigroup.arrow_ids)
+        for target, components in _disconnected(semigroup, k):
+            grouped = tuple(tuple(_unpack(g, width, n) for g in c) for c in components)
+            return False, DegreeViolation(k, _unpack(target, width, n), grouped)
     return True, None
 
 

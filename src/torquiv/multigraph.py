@@ -172,9 +172,9 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
     tried at a prefix is skipped, as swapping the two is an automorphism
     that fixes the prefix.
 
-    The block evaluations are added up level by level and checked against
-    DEFAULT_MAX_NODES after each level; over it, SearchCapExceeded is
-    raised before the next level is searched."""
+    The block evaluations are added up prefix by prefix and checked against
+    DEFAULT_MAX_NODES after each prefix; over it, SearchCapExceeded is
+    raised at once, at most n evaluations past the budget."""
     classes: dict = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
@@ -183,7 +183,7 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
         slots.extend([classes[c]] * len(classes[c]))
     encoding: list = []
     tied = [()]
-    spent = 0
+    spent, budget = 0, DEFAULT_MAX_NODES
     for k in range(n):
         best = None
         grown = []
@@ -200,13 +200,13 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
                 elif block == best:
                     grown.append(prefix + (v,))
             spent += len(tried)
-        if spent > DEFAULT_MAX_NODES:
-            raise SearchCapExceeded(
-                f"canonical search exceeded {DEFAULT_MAX_NODES} block evaluations",
-                search="canonical_key",
-                level=k + 1,
-                max_nodes=DEFAULT_MAX_NODES,
-            )
+            if spent > budget:
+                raise SearchCapExceeded(
+                    f"canonical search exceeded {budget} block evaluations",
+                    search="canonical_key",
+                    level=k + 1,
+                    max_nodes=budget,
+                )
         encoding.extend(best)
         tied = grown
     return tuple(encoding), tied

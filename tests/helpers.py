@@ -341,10 +341,18 @@ def codegree_reference(quiver, weight):
     return k
 
 
+def _representative(semigroup, tup, degree, first):
+    """Factorization starting with the given generator, greedy afterwards."""
+    rest = semigroup.peel(tuple(x - y for x, y in zip(tup, first)), degree - 1)
+    assert rest is not None
+    return tuple(sorted((semigroup.index(first),) + rest))
+
+
 def minimal_generators_reference(semigroup, max_degree):
     """`minimal_generators` with no cap: the tuple-level divisor graph of
-    every element in every degree from 2 to `max_degree`."""
-    from torquiv.ideal import BinomialGen, _representative, divisor_graph
+    every element in every degree from 2 to `max_degree`, and a greedy
+    factorization of each component's least node (`_representative`)."""
+    from torquiv.ideal import BinomialGen, divisor_graph
 
     out = []
     for k in range(2, max_degree + 1):

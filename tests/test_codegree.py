@@ -143,13 +143,16 @@ def test_minimal_generators_stop_at_the_generation_degree(monkeypatch):
 
 
 def test_generation_degree_is_computed_once_per_semigroup(monkeypatch):
+    # the support and d come from the generators, so the codegree search is
+    # the one feasibility pass left
     calls = []
+    codegree_of = ideal._codegree
 
-    def counting(quiver, weight):
+    def counting(quiver, weight, support):
         calls.append(quiver)
-        return generation_degree(quiver, weight)
+        return codegree_of(quiver, weight, support)
 
-    monkeypatch.setattr(ideal, "generation_degree", counting)
+    monkeypatch.setattr(ideal, "_codegree", counting)
     sg = GradedSemigroup(*complete_bipartite(3, 3, -1, 1))
     certify_degree_bound(sg, 3)
     minimal_generators(sg, 4)

@@ -22,8 +22,17 @@ from torquiv import (
     osm_certify_degree3,
     osm_lattice_points,
 )
+from torquiv import ideal
 from torquiv.corpus import acyclic_corpus_pairs
-from torquiv.ideal import _disconnected, _matching_polytope
+from torquiv.ideal import (
+    _disconnected,
+    _divisor_components,
+    _matching_polytope,
+    _pack,
+    _packed_representative,
+    _unpack,
+)
+from torquiv.polytope import _support
 from torquiv.errors import (
     EmptyPolyhedron,
     EmptyWeight,
@@ -35,6 +44,7 @@ from torquiv.errors import (
 )
 
 from helpers import (
+    _representative,
     affine_cycle_pair,
     all_factorizations,
     complete_bipartite,
@@ -183,16 +193,26 @@ def _scan_cases():
 
 def _oracle(sg, k):
     """From the tuple-level divisor graphs of the degree-k elements: the
-    split ones as (element, component count) in piece order, and the
-    remainders t - g - h over all edges g, h of the graph of each t."""
+    split ones as (element, nodes grouped per component) in piece order,
+    and the remainders t - g - h over all edges g, h of the graph of each t."""
     split, rests = [], set()
     for tup in sg.graded_piece(k):
         graph = divisor_graph(sg, sg.flow_dict(tup), k)
         if len(graph.components) > 1:
-            split.append((tup, len(graph.components)))
+            split.append((tup, _grouped(graph)))
         for i, j in graph.edges:
             rests.add(tuple(t - x - y for t, x, y in zip(tup, graph.nodes[i], graph.nodes[j])))
     return split, rests
+
+
+def _grouped(graph):
+    return tuple(tuple(graph.nodes[i] for i in comp) for comp in graph.components)
+
+
+def _split_elements(sg, k):
+    """The elements `_disconnected` yields, unpacked to flow tuples."""
+    width, n = sg._width(k), len(sg.arrow_ids)
+    return [_unpack(target, width, n) for target, _ in _disconnected(sg, k)]
 
 
 @pytest.fixture(scope="module")
@@ -221,9 +241,29 @@ def test_packed_scan_matches_divisor_graph_oracle(oracle_by_degree):
     for stem, sg, dim, oracle in oracle_by_degree:
         for k in range(2, dim + 2):
             split = oracle[k][0]
-            assert list(_disconnected(sg, k)) == [t for t, _ in split], (stem, k)
+            assert _split_elements(sg, k) == [t for t, _ in split], (stem, k)
             split_seen += len(split)
     assert split_seen > 100
+
+
+def test_packed_components_and_representatives_match_the_oracle(oracle_by_degree):
+    # the components unpacked are the divisor graph's, in its order, and the
+    # packed greedy after each component's least node is `_representative`
+    checked = 0
+    for stem, sg, dim, oracle in oracle_by_degree:
+        n = len(sg.arrow_ids)
+        for k in range(2, dim + 2):
+            width, packed, guards = sg._packing(k)
+            scanned = list(_disconnected(sg, k))
+            assert len(scanned) == len(oracle[k][0]), (stem, k)
+            for (target, components), (tup, grouped) in zip(scanned, oracle[k][0]):
+                unpacked = tuple(tuple(_unpack(g, width, n) for g in comp) for comp in components)
+                assert unpacked == grouped, (stem, k, tup)
+                for comp, nodes in zip(components, grouped):
+                    rep = _packed_representative(packed, comp, target, k, guards)
+                    assert rep == _representative(sg, tup, k, nodes[0]), (stem, k, tup)
+                    checked += 1
+    assert checked > 200
 
 
 def test_certify_and_minimal_generators_match_oracle(oracle_by_degree):
@@ -242,12 +282,22 @@ def test_certify_and_minimal_generators_match_oracle(oracle_by_degree):
                 violations[bound] += 1
                 assert (violation.degree, violation.element) == first, (stem, bound)
                 graph = divisor_graph(sg, sg.flow_dict(first[1]), first[0])
-                assert len(violation.components) == len(graph.components)
+                assert violation.components == _grouped(graph), (stem, bound)
         gens = minimal_generators(sg, 4)
         for k in (2, 3, 4):
             images = [g.image for g in gens if g.degree == k]
-            assert images == [t for t, count in split[k] for _ in range(count - 1)], (stem, k)
+            assert images == [t for t, comps in split[k] for _ in comps[1:]], (stem, k)
     assert violations[1] > 0 and violations[2] > 0 and violations[3] == 0
+
+
+def test_divisor_components_come_sorted():
+    # (0, 3) reaches (1, 2) only through (3, 0), so the search meets them out
+    # of order; (2, 3) fits under (4, 4) with none of the others
+    width = 3
+    a, b, c, d = (_pack(v, width) for v in ((0, 3), (1, 2), (2, 3), (3, 0)))
+    guards = _pack((1 << width,) * 2, width)
+    components = _divisor_components([a, b, c, d], _pack((4, 4), width) | guards, guards)
+    assert components == [[a, b, d], [c]]
 
 
 def test_packed_scan_at_field_boundaries():
@@ -260,11 +310,52 @@ def test_packed_scan_at_field_boundaries():
     for q, w in cases:
         sg = GradedSemigroup(q, w)
         for k in range(2, 6):
-            assert list(_disconnected(sg, k)) == [t for t, _ in _oracle(sg, k)[0]]
+            assert _split_elements(sg, k) == [t for t, _ in _oracle(sg, k)[0]]
     # the m + 1 generators (i, m - i) of a Kronecker pair: in degree 2 only
     # (i, 2m - i) for i in {0, 1, 2m - 1, 2m} has a single factorization
     sg = GradedSemigroup(*kronecker(-8, 8))
     assert len(list(_disconnected(sg, 2))) == 2 * 8 + 1 - 4
+
+
+def _repacks(monkeypatch):
+    """Record the `_unpack` calls made while `_packed_piece` builds a piece:
+    each is one element of the piece below, repacked at a wider field."""
+    repacked = []
+    building = []
+    unpack, packed_piece = ideal._unpack, GradedSemigroup._packed_piece
+
+    def counting_unpack(*args):
+        if building:
+            repacked.append(args)
+        return unpack(*args)
+
+    def tracked_packed_piece(self, k):
+        building.append(k)
+        try:
+            return packed_piece(self, k)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(ideal, "_unpack", counting_unpack)
+    monkeypatch.setattr(GradedSemigroup, "_packed_piece", tracked_packed_piece)
+    return repacked
+
+
+def test_default_scans_pack_each_semigroup_at_one_width(monkeypatch):
+    # pieces up to d + 1 share a width, and the default scans stop by then
+    repacked = _repacks(monkeypatch)
+    for _, sg in _scan_cases():
+        certify_degree_bound(sg, 1)
+        minimal_generators(sg, 10)
+        assert len(sg._pieces) <= sg._dim + 2
+    assert repacked == []
+    # an explicit horizon above d + 1 = 2 widens the fields of Kronecker
+    # (-3, 3) at degree 3 (9 > 2**3 - 1): the seven elements of piece 2 are
+    # repacked once, and no piece after it
+    sg = GradedSemigroup(*kronecker(-3, 3))
+    assert sg._width(2) == 3 and sg._width(5) == 4
+    assert certify_degree_bound(sg, 4, 5) == (True, None)
+    assert len(repacked) == len(sg.graded_piece(2))
 
 
 # -- minimal generating systems -----------------------------------------------
@@ -370,8 +461,8 @@ def test_certify_allows_horizon_below_bound():
 
 
 def test_generator_support_dimension_matches_polytope_dimension():
-    # the generators span an affine space of the polytope's dimension, and
-    # an empty semigroup has no dimension
+    # the generators span an affine space of the polytope's dimension, their
+    # support is the polytope's, and an empty semigroup has no dimension
     cases = [GradedSemigroup(q, w) for _, q, w in acyclic_corpus_pairs()]
     rng = random.Random(41)
     for _ in range(40):
@@ -381,6 +472,8 @@ def test_generator_support_dimension_matches_polytope_dimension():
             first = sg.generators[0]
             rank = rational_rank([[x - y for x, y in zip(g, first)] for g in sg.generators[1:]])
             assert dimension(sg.quiver, sg.weight) == rank, (sg.quiver, sg.weight)
+            assert sg._support == _support(sg.quiver, sg.weight), (sg.quiver, sg.weight)
+            assert sg._dim == rank, (sg.quiver, sg.weight)
         else:
             with pytest.raises(EmptyPolyhedron):
                 dimension(sg.quiver, sg.weight)

@@ -346,3 +346,24 @@ def test_canonical_search_spends_the_node_budget(monkeypatch):
         directed_canonical_key(*five)
     detail = capped.value.to_json()["detail"]
     assert detail["search"] == "canonical_key" and detail["max_nodes"] == 100_000
+
+
+def test_canonical_search_stops_near_the_node_budget(monkeypatch):
+    # the budget is checked after each tied prefix, so the search stops
+    # within n = 21 evaluations past it, not at the end of the level
+    budget = 100_000
+    evaluations = []
+    min_encoding = multigraph._min_encoding
+
+    def counting(n, colors, twin, extend):
+        def counted(prefix, v):
+            evaluations.append(v)
+            return extend(prefix, v)
+
+        return min_encoding(n, colors, twin, counted)
+
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", budget)
+    monkeypatch.setattr(multigraph, "_min_encoding", counting)
+    with pytest.raises(SearchCapExceeded):
+        directed_canonical_key(*disjoint_directed_triangles(7))
+    assert budget < len(evaluations) <= budget + 21
