@@ -97,11 +97,6 @@ def _required_weight(weight: dict | None, path: str) -> dict:
     return weight
 
 
-def _sorted_flows(flows, quiver: Quiver) -> list[dict]:
-    order = quiver.sorted_arrow_ids()
-    return sorted(flows, key=lambda f: tuple(f[a] for a in order))
-
-
 def _csv_table(flows, quiver: Quiver) -> str:
     order = quiver.sorted_arrow_ids()
     lines = [",".join(order)]
@@ -127,9 +122,7 @@ def _certificate(command, digest, parameters, verdict, witnesses) -> dict:
 def _cmd_lattice_points(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
-    points = _sorted_flows(
-        lattice_points(quiver, weight, args.degree, args.max_nodes), quiver
-    )
+    points = lattice_points(quiver, weight, args.degree, args.max_nodes)
     if args.format == "csv":
         return _csv_table(points, quiver)
     return {
@@ -144,7 +137,7 @@ def _cmd_lattice_points(args):
 def _cmd_vertices(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
-    corners = _sorted_flows(vertices(quiver, weight, args.max_nodes), quiver)
+    corners = vertices(quiver, weight, args.max_nodes)
     if args.format == "csv":
         return _csv_table(corners, quiver)
     return {
@@ -223,7 +216,7 @@ def _cmd_double(args):
 def _cmd_localize(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
-    corners = _sorted_flows(vertices(quiver, weight, args.max_nodes), quiver)
+    corners = vertices(quiver, weight, args.max_nodes)
     if not 0 <= args.vertex_index < len(corners):
         raise InputError(
             f"vertex index {args.vertex_index} out of range; "
@@ -318,7 +311,7 @@ def _cmd_osm(args):
             verdict,
             None,
         )
-    matchings = _sorted_flows(osm_lattice_points(quiver), quiver)
+    matchings = osm_lattice_points(quiver)
     if args.format == "csv":
         return _csv_table(matchings, quiver)
     return {

@@ -13,12 +13,12 @@ strongly connected quivers with zero weight.
 
 Flows travel as dicts at the API boundary and as tuples (ordered by sorted
 arrow id) inside it.  Graded pieces are sorted lists of flows packed into
-one int each, a field per coordinate with a guard bit on top and the first
-coordinate highest: int order is lex order, a sum of flows is one
-addition, and a divisibility test is one subtraction and one mask (SIMD
-within a register; Lamport, "Multiple byte processing with full-word
-instructions", CACM 1975).  Pieces up to degree d + 1 share one width, and
-the packed scan gives each split element's components and factorizations.
+one int each by `polytope._pack`, a field per coordinate with a guard bit
+on top and the first coordinate highest: int order is lex order, a sum of
+flows is one addition, and a divisibility test is one subtraction and one
+mask.  Pieces up to degree d + 1 share one width, and the packed scan
+gives each split element's components; `polytope.greedy_factorization`,
+on the same packing, gives their factorizations.
 """
 
 import functools
@@ -41,6 +41,8 @@ from .polytope import (
     _codegree,
     _NodeBudget,
     _fresh,
+    _pack,
+    _unpack,
     generation_degree,
     greedy_factorization,
     lattice_points,
@@ -183,9 +185,13 @@ class GradedSemigroup:
         """Greedy factorization into `count` generators, lex-smallest first.
 
         Returns a tuple of generator indices, or None when `tup` is not a
-        degree-`count` element (see `polytope.greedy_factorization`).
+        degree-`count` element (see `polytope.greedy_factorization`): the
+        packed test at `_width(count)` holds entries 0..count * top.
         """
-        picks = greedy_factorization(self.generators, tup, count)
+        if any(x < 0 or x > count * self._top for x in tup):
+            return None
+        width, packed, guards = self._packing(count)
+        picks = greedy_factorization(packed, _pack(tup, width), count, guards)
         return None if picks is None else tuple(picks)
 
 
@@ -262,28 +268,6 @@ def divisor_graph(semigroup: GradedSemigroup, element: dict, degree: int) -> Div
     return DivisorGraph(tup, degree, nodes, tuple(edges), tuple(comps))
 
 
-def _pack(values, width: int) -> int:
-    """The values, each below 2**width, as one int: fields of width + 1
-    bits, the first value highest (so int order is the lex order of the
-    value tuples), the top bit of each field its guard.
-
-    With `guards` the packed (2**width, ...), `((y | guards) - x) & guards
-    == guards` exactly when x <= y in every field: a field that goes
-    negative borrows from its own guard bit, and no borrow gets past it.
-    """
-    field = width + 1
-    packed = 0
-    for x in values:
-        packed = (packed << field) | x
-    return packed
-
-
-def _unpack(packed: int, width: int, n: int) -> tuple:
-    """The n values of `_pack(values, width)`, with or without its guards."""
-    field, mask = width + 1, (1 << width) - 1
-    return tuple((packed >> (field * i)) & mask for i in range(n - 1, -1, -1))
-
-
 def _divisor_components(packed: list, target: int, guards: int) -> list:
     """The components of a split divisor graph, or [] when it is connected.
     Its nodes are the packed candidates that fit under the guarded target
@@ -331,32 +315,19 @@ def _disconnected(semigroup: GradedSemigroup, k: int):
             yield target, components
 
 
-def _packed_representative(packed: list, comp: list, target: int, k: int, guards: int) -> tuple:
-    """Indices into `packed` of the degree-k factorization of the guarded
-    target that takes the component's least node, then the picks of
-    `greedy_factorization`.  Every generator under target - comp[0] is its
-    neighbour, so the picks lie in the component, each no less than the
-    one before."""
-    rest, picks, i = target, [], 0
-    for _ in range(k):
-        while (rest - comp[i]) & guards != guards:
-            i += 1
-        rest -= comp[i]
-        picks.append(bisect_left(packed, comp[i]))
-    assert rest == guards
-    return tuple(picks)
-
-
 def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     """Minimal binomial generating system up to the given degree.
 
     For each element whose divisor graph splits into c > 1 components the
     ideal needs exactly c - 1 generators; they pair a representative
     factorization of the first component against one from each other.
-    Split elements, their components and the representatives all come from
-    the packed scan of `_disconnected`.  Degrees
-    above `semigroup.generation_degree` (d + 2 - codeg) hold no split
-    element, so the scan stops there when that is below `max_degree`.
+    Split elements and their components come from the packed scan of
+    `_disconnected`.  A component's representative is its least node, then
+    `greedy_factorization` of the rest from that node on: every generator
+    under the rest is the node's neighbour, so the picks stay in the
+    component.  Degrees above `semigroup.generation_degree` (d + 2 - codeg)
+    hold no split element, so the scan stops there when that is below
+    `max_degree`.
     """
     if max_degree < 2:
         raise InputError("max_degree must be at least 2")
@@ -367,8 +338,12 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     for k in range(2, min(max_degree, semigroup.generation_degree) + 1):
         width, packed, guards = semigroup._packing(k)
         for target, components in _disconnected(semigroup, k):
+            reps = []
+            for comp in components:
+                i = bisect_left(packed, comp[0])
+                rest = greedy_factorization(packed, target - comp[0], k - 1, guards, start=i)
+                reps.append((i, *rest))
             tup = _unpack(target, width, n)
-            reps = [_packed_representative(packed, c, target, k, guards) for c in components]
             out += [BinomialGen(k, tup, reps[0], other) for other in reps[1:]]
     return out
 

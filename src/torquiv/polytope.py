@@ -8,9 +8,14 @@ direction), in which case only the bounded-flow variant enumerates points.
 Everything here is exact and integer.  One backtracking walk over the
 arrows enumerates lattice points, and with forest support it enumerates
 vertices (integer flows with forest support, by total unimodularity).
-Dimensions are read off the support graph: |S| - |V| + c(V, S) for the
-arrows S that some point of the polyhedron uses, which one max-flow finds
-(`quiver.feasible_flow`).  No floats.
+The walk keeps its state in lists indexed by int and charges its node
+budget once per search node.  Dimensions are read off the support graph:
+|S| - |V| + c(V, S) for the arrows S that some point of the polyhedron
+uses, which one max-flow finds (`quiver.feasible_flow`).  No floats.
+Normality factors greedily over points packed into one int each (`_pack`,
+shared with `ideal`): a field per coordinate with a guard bit on top, so
+int order is lex order and a divisibility test is one subtraction and one
+mask (SIMD within a register; Lamport, CACM 1975).
 """
 
 from __future__ import annotations
@@ -120,52 +125,67 @@ def _integer_walk(
     forced outright.  With `values` (arrow id -> sorted positive values) an
     arrow is positive only on a listed value and only when it joins two
     components of the support so far (a union-find with undo), so every
-    flow found has forest support."""
+    flow found has forest support.  Each node charges the budget once for
+    all of its tries."""
     touched = {v for a in arrows for v in (a.tail, a.head)}
     if any(need[v] for v in need if v not in touched):
         return []  # no arrow can meet the weight of a vertex without one
+    index = {v: i for i, v in enumerate(need)}
+    tails = [index[a.tail] for a in arrows]
+    heads = [index[a.head] for a in arrows]
+    column = {key: j for j, key in enumerate(flow)}
+    slots = [column[a.id] for a in arrows]
+    sorted_values = None if values is None else [values[a.id] for a in arrows]
+    need = list(need.values())
     # [lo[v], hi[v]]: divergence the unassigned arrows at v can produce
-    lo = dict.fromkeys(need, 0)
-    hi = dict.fromkeys(need, 0)
-    for a in arrows:
-        lo[a.tail] -= cap
-        hi[a.head] += cap
-    parent = {v: v for v in need}
-    size = dict.fromkeys(need, 1)
-    results: list[dict] = []
+    lo, hi = [0] * len(need), [0] * len(need)
+    for t, h in zip(tails, heads):
+        lo[t] -= cap
+        hi[h] += cap
+    parent, size = list(range(len(need))), [1] * len(need)
+    current = list(flow.values())
+    points: list[tuple] = []
+    last = len(arrows)
 
-    def find(v: str) -> str:
+    def find(v: int) -> int:
         while parent[v] != v:
             v = parent[v]
         return v
 
     def assign(i: int) -> None:
-        if i == len(arrows):
-            results.append(dict(flow))
+        if i == last:
+            points.append(tuple(current))
             return
-        a = arrows[i]
-        t, h = a.tail, a.head
+        t, h, slot = tails[i], heads[i], slots[i]
         lo[t] += cap
         hi[h] -= cap
-        low = max(0, lo[t] - need[t], need[h] - hi[h])
-        high = min(cap, hi[t] - need[t], need[h] - lo[h])
-        if values is None:
+        nt, nh = need[t], need[h]
+        low, high = lo[t] - nt, hi[t] - nt
+        if nh - hi[h] > low:
+            low = nh - hi[h]
+        if nh - lo[h] < high:
+            high = nh - lo[h]
+        if low < 0:
+            low = 0
+        if high > cap:
+            high = cap
+        if sorted_values is None:
             tries = range(low, high + 1)
-            rt = rh = None
+            joined = False
         else:
             tries = [0] if low == 0 <= high else []
             rt, rh = find(t), find(h)
-            if rt != rh:
-                vals = values[a.id]
+            joined = rt != rh
+            if joined:
+                vals = sorted_values[i]
                 tries += vals[bisect_left(vals, low) : bisect_right(vals, high)]
                 if size[rt] > size[rh]:
                     rt, rh = rh, rt
+        budget.spend(len(tries))
         for x in tries:
-            budget.spend()
-            flow[a.id] = x
-            need[t] += x
-            need[h] -= x
-            if x and rt is not None:
+            current[slot] = x
+            need[t], need[h] = nt + x, nh - x
+            if x and joined:
                 parent[rt] = rh
                 size[rh] += size[rt]
                 assign(i + 1)
@@ -173,15 +193,13 @@ def _integer_walk(
                 parent[rt] = rt
             else:
                 assign(i + 1)
-            need[t] -= x
-            need[h] += x
-        flow[a.id] = 0
+        need[t], need[h] = nt, nh
         lo[t] -= cap
         hi[h] += cap
 
     assign(0)
     del assign  # a recursive closure is a reference cycle: unbind it so the walk frees on return
-    return results
+    return [dict(zip(flow, p)) for p in points]
 
 
 # -- lattice points ----------------------------------------------------------
@@ -276,6 +294,7 @@ def bounded_lattice_points(
         rem_hi[a.tail] -= l
 
     assign(0)
+    del assign  # a recursive closure is a reference cycle: unbind it
     return _sorted_flows(results, quiver)
 
 
@@ -477,13 +496,36 @@ def facet_arrows(quiver: Quiver, weight: dict) -> list[list[str]]:
 # -- normality ---------------------------------------------------------------
 
 
+def _pack(values, width: int) -> int:
+    """The values, each below 2**width, as one int: fields of width + 1
+    bits, the first value highest (so int order is the lex order of the
+    value tuples), the top bit of each field its guard.
+
+    With `guards` the packed (2**width, ...), `((y | guards) - x) & guards
+    == guards` exactly when x <= y in every field: a field that goes
+    negative borrows from its own guard bit, and no borrow gets past it.
+    """
+    field = width + 1
+    packed = 0
+    for x in values:
+        packed = (packed << field) | x
+    return packed
+
+
+def _unpack(packed: int, width: int, n: int) -> tuple:
+    """The n values of `_pack(values, width)`, with or without its guards."""
+    field, mask = width + 1, (1 << width) - 1
+    return tuple((packed >> (field * i)) & mask for i in range(n - 1, -1, -1))
+
+
 def check_normality(
     quiver: Quiver, weight: dict, k: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> tuple[bool, dict]:
     """Is every lattice point of the k-th dilate a sum of k degree-1
     points?  Returns (verdict, witness): on success the witness maps each
     degree-k point to one decomposition; on failure it holds the
-    counterexample."""
+    counterexample.  The points are packed at the width of the largest
+    degree-k coordinate, which k times any degree-1 point stays under."""
     if not isinstance(k, int) or k < 2:
         raise InputError("normality degree k must be an integer >= 2")
     with warnings.catch_warnings():
@@ -491,37 +533,41 @@ def check_normality(
         ones = lattice_points(quiver, weight, 1, max_nodes)
         top = lattice_points(quiver, weight, k, max_nodes)
     order = quiver.sorted_arrow_ids()
-    generators = [flow_tuple(f, order) for f in ones]
+    tuples = [flow_tuple(s, order) for s in top]
+    width = max((x for tup in tuples for x in tup), default=0).bit_length()
+    guards = _pack([1 << width] * len(order), width)
+    packed = [_pack(flow_tuple(f, order), width) for f in ones]
     witness: dict = {}
-    for s in top:
-        picks = greedy_factorization(generators, flow_tuple(s, order), k)
+    for s, tup in zip(top, tuples):
+        picks = greedy_factorization(packed, _pack(tup, width), k, guards)
         if picks is None:
             return False, {"counterexample": s}
-        witness[str(flow_tuple(s, order))] = [ones[i] for i in picks]
+        witness[str(tup)] = [ones[i] for i in picks]
     return True, witness
 
 
-def greedy_factorization(points, target: tuple, count: int) -> list[int] | None:
+def greedy_factorization(
+    packed: list, target: int, count: int, guards: int, start: int = 0
+) -> list[int] | None:
     """The lexicographically first way to write `target` as a sum of
-    `count` of the lex-sorted `points`, as indices, or None when there is
-    none.
+    `count` of the sorted `_pack`ed points from index `start` on, as
+    indices, or None when there is none.  `target` may carry its guards.
 
-    Takes the lex-least point p <= r of the remainder r each time.  The
-    remainder of a lattice point of a quiver polytope's dilate stays a
-    lattice point of the next smaller dilate, which splits again (total
-    unimodularity), so the greedy choice never has to be undone; and every
-    point q <= r - p is a candidate at r too, so q comes no earlier than p
-    and each scan starts at the previous pick."""
+    Takes the lex-least point p <= r of the remainder r each time, by the
+    guard test of `_pack`.  The remainder of a lattice point of a quiver
+    polytope's dilate stays a lattice point of the next smaller dilate,
+    which splits again (total unimodularity), so the greedy choice never
+    has to be undone; and every point q <= r - p is a candidate at r too,
+    so q comes no earlier than p and each scan starts at the previous pick."""
+    rest = target | guards
     picks: list[int] = []
-    start = 0
     for _ in range(count):
-        for i in range(start, len(points)):
-            p = points[i]
-            if all(x <= r for x, r in zip(p, target)):
+        for i in range(start, len(packed)):
+            if (rest - packed[i]) & guards == guards:
                 break
         else:
             return None
         picks.append(i)
-        target = tuple(r - x for r, x in zip(target, p))
+        rest -= packed[i]
         start = i
-    return picks if not any(target) else None
+    return picks if rest == guards else None

@@ -341,6 +341,18 @@ def codegree_reference(quiver, weight):
     return k
 
 
+def _packed_representative(packed, comp, target, degree, guards):
+    """The route of `minimal_generators`: indices into `packed` of the
+    component's least node, then the packed greedy factorization of the
+    guarded target's rest from that node on."""
+    from bisect import bisect_left
+
+    from torquiv.polytope import greedy_factorization
+
+    i = bisect_left(packed, comp[0])
+    return (i, *greedy_factorization(packed, target - comp[0], degree - 1, guards, start=i))
+
+
 def _representative(semigroup, tup, degree, first):
     """Factorization starting with the given generator, greedy afterwards."""
     rest = semigroup.peel(tuple(x - y for x, y in zip(tup, first)), degree - 1)
@@ -1035,3 +1047,22 @@ def factorization_reference(points, target, count):
         return None
 
     return rec(tuple(target), 0, 0)
+
+
+def greedy_factorization_reference(points, target, count):
+    """The greedy factorization over flow tuples: take the lex-least point
+    p <= r of the remainder r each time, scanning on from the previous
+    pick; indices into the lex-sorted `points`, or None."""
+    picks = []
+    start = 0
+    for _ in range(count):
+        for i in range(start, len(points)):
+            p = points[i]
+            if all(x <= r for x, r in zip(p, target)):
+                break
+        else:
+            return None
+        picks.append(i)
+        target = tuple(r - x for r, x in zip(target, p))
+        start = i
+    return picks if not any(target) else None

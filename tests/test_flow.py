@@ -4,7 +4,8 @@ Removability, contractibility, stability, tightness, dimension, facets and
 the tightening trace all come from one feasible flow and its residual
 graph; here each is compared with the earlier enumeration route on the
 corpus and on seeded random pairs, and normality witnesses from the greedy
-factorization with the depth-first search.
+factorization with the depth-first search; the packed greedy matches the
+tuple greedy it replaced.
 """
 
 import json
@@ -28,18 +29,20 @@ from torquiv import (
 )
 from torquiv.corpus import acyclic_corpus_pairs, corpus_pairs
 from torquiv.errors import EmptyPolyhedron
-from torquiv.polytope import flow_tuple
+from torquiv.polytope import _pack, flow_tuple, greedy_factorization
 from torquiv.quiver import feasible_flow, flow_support, is_acyclic
 
 from helpers import (
     dimension_reference,
     facet_arrows_reference,
     factorization_reference,
+    greedy_factorization_reference,
     is_contractible_reference,
     is_removable_reference,
     is_theta_stable_reference,
     is_tight_by_moves_reference,
     is_tight_by_stability_reference,
+    kronecker,
     path_pair,
     random_acyclic,
     random_pair,
@@ -163,3 +166,54 @@ def test_greedy_witnesses_match_depth_first_search():
                 assert semigroup.peel(flow_tuple(s, order), k) == tuple(picks)
                 checked += 1
     assert checked >= 500
+
+
+def test_packed_greedy_matches_the_tuple_greedy():
+    # random lex-sorted points with fields up to 2**width - 1; targets are
+    # sums of random points (clipped to the field), all-full fields, or
+    # random, so many have no greedy factorization
+    rng = random.Random(23)
+    seen = {"none": 0, "picks": 0, "full": 0, "start": 0}
+    for _ in range(1000):
+        n, width, count = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+        full = (1 << width) - 1
+        cloud = {
+            tuple(rng.choice((0, full, rng.randint(0, full))) for _ in range(n)) for _ in range(6)
+        }
+        points = sorted(cloud)
+        shape = rng.randrange(4)
+        if shape < 2:
+            drawn = [rng.choice(points) for _ in range(count)]
+            target = tuple(min(full, sum(col)) for col in zip(*drawn)) if drawn else (0,) * n
+        elif shape == 2:
+            target = (full,) * n
+        else:
+            target = tuple(rng.randint(0, full) for _ in range(n))
+        packed = [_pack(p, width) for p in points]
+        guards = _pack([1 << width] * n, width)
+        expected = greedy_factorization_reference(points, target, count)
+        for guarded in (0, guards):
+            got = greedy_factorization(packed, _pack(target, width) | guarded, count, guards)
+            assert got == expected, (points, target, count)
+        start = rng.randrange(len(points))
+        shifted = greedy_factorization_reference(points[start:], target, count)
+        got = greedy_factorization(packed, _pack(target, width), count, guards, start=start)
+        assert got == (None if shifted is None else [start + i for i in shifted])
+        seen["none" if expected is None else "picks"] += 1
+        seen["full"] += full in target and expected is not None
+        seen["start"] += start > 0 and shifted is not None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_peel_rejects_targets_outside_the_fields():
+    # kronecker(-2, 2): generators (0, 2), (1, 1), (2, 0), top 2; degree 2
+    # holds entries 0..4 in 3-bit fields, and packed as they stand (0, 19)
+    # and (3, 17) would spill into the first field and read as the degree-2
+    # elements (1, 3) and (3, 1)
+    sg = GradedSemigroup(*kronecker(-2, 2))
+    assert sg.peel((1, 3), 2) == (0, 1)
+    assert sg.peel((4, 0), 2) == (2, 2)
+    for tup in ((0, 19), (3, 17), (0, 5), (5, 0), (-1, 5), (5, -1), (-1, 1)):
+        assert sg.peel(tup, 2) is None, tup
+    assert sg.peel((0, 0), 0) == ()
+    assert sg.peel((1, 0), 0) is None

@@ -29,7 +29,6 @@ from torquiv.ideal import (
     _divisor_components,
     _matching_polytope,
     _pack,
-    _packed_representative,
     _unpack,
 )
 from torquiv.polytope import _support
@@ -44,6 +43,7 @@ from torquiv.errors import (
 )
 
 from helpers import (
+    _packed_representative,
     _representative,
     affine_cycle_pair,
     all_factorizations,

@@ -20,7 +20,12 @@ from torquiv import (
     vertices,
 )
 from torquiv.corpus import corpus_pairs, crossed_ladder_pair
-from torquiv.errors import EmptyPolyhedron, EmptyWeight, UnboundedPolyhedron
+from torquiv.errors import (
+    EmptyPolyhedron,
+    EmptyWeight,
+    SearchCapExceeded,
+    UnboundedPolyhedron,
+)
 from torquiv.polytope import flow_tuple, gadget_flow
 from torquiv.quiver import components, is_acyclic
 
@@ -226,6 +231,71 @@ def test_integer_walk_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_bounded_walk_leaves_no_reference_cycles():
+    q, w = two_cycle()
+    spec = BoundedFlowSpec(q, w, {"a": 0, "b": 0}, {"a": 2, "b": 2})
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(bounded_lattice_points(spec)) == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Search nodes of `lattice_points` at k = 1, 2 and of `vertices`, counted on
+# the walk that charged its budget once per try (None: cyclic, no points).
+# The first 10 draws of random.Random(14) with a degree-1 point follow.
+WALK_NODES = {
+    "surface_p2": (17, 33, 17),
+    "surface_bl1p2": (29, 68, 28),
+    "surface_bl2p2": (47, 127, 33),
+    "surface_bl3p2": (39, 103, 37),
+    "surface_p1xp1": (12, 24, 12),
+    "ladder_d3": (269, 1604, 265),
+    "ladder_d4": (933, 9204, 922),
+    "affine_degree_d3": (None, None, 6),
+    "affine_degree_d4": (None, None, 8),
+    "affine_degree_d5": (None, None, 10),
+    "subdivided_doubled_square": (210, 1058, 184),
+    "subdivided_complete4": (269, 1604, 265),
+    "bipartite_k22": (8, 12, 8),
+    "bipartite_k33": (44, 139, 44),
+}
+RANDOM_WALK_NODES = [
+    (274, 2716, 64),
+    (4, 6, 4),
+    (8, 14, 4),
+    (7, 7, 7),
+    (209, 1781, 53),
+    (43, 148, 43),
+    (104, 539, 19),
+    (29, 90, 13),
+    (2, 2, 2),
+    (64, 274, 64),
+]
+
+
+def test_walk_node_counts_pin_every_cap_verdict():
+    # each walk answers at max_nodes = N and hits the cap at N - 1, so its
+    # node count is N: the one charge per search node spends what one
+    # charge per try spent, and every cap verdict stays
+    cases = [(q, w, WALK_NODES[stem]) for stem, q, w in corpus_pairs()]
+    rng = random.Random(14)
+    while len(cases) < len(WALK_NODES) + len(RANDOM_WALK_NODES):
+        q, w = random_acyclic(rng, max_vertices=6, max_arrows=10, weight_bound=3)
+        if lattice_points(q, w, 1):
+            cases.append((q, w, RANDOM_WALK_NODES[len(cases) - len(WALK_NODES)]))
+    for q, w, nodes in cases:
+        calls = [lambda m: vertices(q, w, m)]
+        if nodes[0] is not None:
+            calls = [lambda m, k=k: lattice_points(q, w, k, m) for k in (1, 2)] + calls
+        for call, n in zip(calls, [x for x in nodes if x is not None]):
+            call(n)
+            with pytest.raises(SearchCapExceeded):
+                call(n - 1)
 
 
 def test_vertices_scale_with_the_weight():
