@@ -54,6 +54,7 @@ from .quiver import (
     components,
     euler_characteristic,
     feasible_flow,
+    fresh_name,
     is_acyclic,
     is_strongly_connected,
 )
@@ -196,10 +197,7 @@ def build_Rd_quiver(graph: Multigraph, choices) -> Quiver:
         elif choice == "backward":
             arrows.append(Arrow(f"a{k}", sv, su))
         else:
-            sink = f"s{k}"
-            while sink in taken:
-                sink += "'"
-            taken.add(sink)
+            sink = fresh_name(f"s{k}", taken)
             new_vertices.append(sink)
             arrows.append(Arrow(f"a{k}", su, sink))
             arrows.append(Arrow(f"b{k}", sv, sink))
@@ -565,13 +563,18 @@ def classify_2d(
     quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
 ) -> str:
     """Name the toric surface of a 2-dimensional pair: "P2", "Bl1P2",
-    "Bl2P2", "Bl3P2" (the plane blown up in 1 to 3 points) or "P1xP1".
+    "Bl2P2", "Bl3P2" (the plane blown up in 1 to 3 points) or "P1xP1";
+    `surface_name` of its `normal_fan_2d`."""
+    return surface_name(normal_fan_2d(quiver, weight, max_nodes))
 
-    Decides by the ray count of the tightened normal fan (4 rays split by
-    central symmetry), then insists on a lattice automorphism carrying the
-    rays onto the chosen reference fan; a mismatch between the two routes
-    raises AssertionError."""
-    fan = normal_fan_2d(quiver, weight, max_nodes)
+
+def surface_name(fan: Fan2D) -> str:
+    """The toric surface of the normal fan of a lattice polygon.
+
+    Decides by the ray count (4 rays split by central symmetry), then
+    insists on a lattice automorphism carrying the rays onto the chosen
+    reference fan; a mismatch between the two routes raises
+    AssertionError."""
     n = len(fan.rays)
     if n == 3:
         name = "P2"
@@ -597,14 +600,6 @@ def classify_2d(
 
 
 # -- realization on 3-regular skeletons ----------------------------------------
-
-
-def _fresh_name(base: str, taken: set) -> str:
-    out = base
-    while out in taken:
-        out += "'"
-    taken.add(out)
-    return out
 
 
 def _net_inflow(quiver: Quiver, arrow_ids, hub: str, flow: dict) -> int:
@@ -639,11 +634,11 @@ def _split_hub(quiver: Quiver, weight: dict, hub: str, max_nodes: int):
             theta1 = min(_net_inflow(quiver, part1, hub, x) for x in corners)
             theta2 = min(_net_inflow(quiver, part2, hub, x) for x in corners)
             taken_v = set(quiver.vertices)
-            v2 = _fresh_name(hub + "'", taken_v)
-            sink = _fresh_name(hub + "*", taken_v)
+            v2 = fresh_name(hub + "'", taken_v)
+            sink = fresh_name(hub + "*", taken_v)
             taken_a = {a.id for a in quiver.arrows}
-            n1 = _fresh_name("n_" + hub, taken_a)
-            n2 = _fresh_name("n_" + v2, taken_a)
+            n1 = fresh_name("n_" + hub, taken_a)
+            n2 = fresh_name("n_" + v2, taken_a)
             part2_set = set(part2)
             arrows = []
             for a in quiver.arrows:

@@ -24,11 +24,11 @@ from pathlib import Path
 
 from . import __version__
 from .classify import (
-    classify_2d,
     enumerate_affine_Rdd,
     enumerate_maximal_skeletons,
     enumerate_skeletons,
     normal_fan_2d,
+    surface_name,
 )
 from .corpus import regenerate
 from .errors import DomainError, InputError, SearchCapExceeded
@@ -350,13 +350,12 @@ def _cmd_affine_list(args):
 def _cmd_classify2d(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
-    name = classify_2d(quiver, weight, args.max_nodes)
     fan = normal_fan_2d(quiver, weight, args.max_nodes)
     return _certificate(
         "classify2d",
         digest,
         {"max_nodes": args.max_nodes},
-        name,
+        surface_name(fan),
         {"rays": [list(r) for r in fan.rays]},
     )
 

@@ -40,7 +40,6 @@ from .polytope import (
     DEFAULT_MAX_NODES,
     _codegree,
     _NodeBudget,
-    _fresh,
     _pack,
     _unpack,
     generation_degree,
@@ -52,6 +51,7 @@ from .quiver import (
     Arrow,
     Quiver,
     divergence,
+    fresh_name,
     is_strongly_connected,
     primitive_cycles,
     topological_order,
@@ -506,9 +506,9 @@ def _matching_polytope(quiver: Quiver) -> tuple:
     elements.  Returns (quiver, weight); z and its arrows get fresh names.
     """
     sources, sinks = _osm_parts(quiver)
-    z = _fresh("z", set(quiver.vertices))
+    z = fresh_name("z", set(quiver.vertices))
     taken = set(quiver.sorted_arrow_ids())
-    slack = [Arrow(_fresh(f"{z}:{w}", taken), z, w) for w in sinks]
+    slack = [Arrow(fresh_name(f"{z}:{w}", taken), z, w) for w in sinks]
     weight = dict.fromkeys(sources, -1) | dict.fromkeys(sinks, 1)
     weight[z] = len(sources) - len(sinks)
     return Quiver(list(quiver.vertices) + [z], list(quiver.arrows) + slack), weight

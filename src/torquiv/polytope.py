@@ -3,15 +3,18 @@
 The polyhedron of a pair (Q, θ) is the set of non-negative real flows with
 divergence θ at every vertex.  For acyclic Q it is a lattice polytope; an
 oriented cycle makes it unbounded (its characteristic vector is a recession
-direction), in which case only the bounded-flow variant enumerates points.
+direction), and then only a box l <= x <= u bounds its points.
 
 Everything here is exact and integer.  One backtracking walk over the
-arrows enumerates lattice points, and with forest support it enumerates
-vertices (integer flows with forest support, by total unimodularity).
-The walk keeps its state in lists indexed by int and charges its node
-budget once per search node.  Dimensions are read off the support graph:
-|S| - |V| + c(V, S) for the arrows S that some point of the polyhedron
-uses, which one max-flow finds (`quiver.feasible_flow`).  No floats.
+non-loop arrows, with a cap per arrow, enumerates lattice points; with
+forest support it enumerates vertices (integer flows with forest support,
+by total unimodularity); shifted by the lower bounds (x - l in [0, u - l]
+with divergence theta - div(l)) it enumerates a box.  The walk keeps its
+state in lists indexed by int, charges its node budget once per search
+node and returns its points sorted in sorted-arrow-id coordinates.
+Dimensions are read off the support graph: |S| - |V| + c(V, S) for the
+arrows S that some point of the polyhedron uses, which one max-flow finds
+(`quiver.feasible_flow`).  No floats.
 Normality factors greedily over points packed into one int each (`_pack`,
 shared with `ideal`): a field per coordinate with a guard bit on top, so
 int order is lex order and a divisibility test is one subtraction and one
@@ -23,6 +26,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     EmptyPolyhedron,
@@ -40,6 +44,7 @@ from .quiver import (
     euler_characteristic,
     feasible_flow,
     flow_support,
+    fresh_name,
     primitive_cycles,
     topological_order,
 )
@@ -85,11 +90,6 @@ def flow_tuple(flow: dict, arrow_ids: list[str]) -> tuple:
     return tuple(flow[a] for a in arrow_ids)
 
 
-def _sorted_flows(flows: list[dict], quiver: Quiver) -> list[dict]:
-    order = quiver.sorted_arrow_ids()
-    return sorted(flows, key=lambda f: flow_tuple(f, order))
-
-
 # -- the integer walk --------------------------------------------------------
 
 
@@ -110,13 +110,14 @@ def _walk_arrows(quiver: Quiver, order: list[str]) -> list[Arrow]:
 def _integer_walk(
     arrows: list[Arrow],
     need: dict,
-    cap: int,
-    flow: dict,
+    caps: list[int],
+    columns: list[str],
     budget: _NodeBudget,
     values: dict | None = None,
 ) -> list[dict]:
-    """Every integer flow on `arrows` with entries in [0, cap] and
-    divergence `need`, as copies of `flow` (which holds every output key).
+    """Every integer flow on the non-loop `arrows` with entries in
+    [0, caps[i]] and divergence `need`, sorted, as dicts keyed by
+    `columns` (the sorted arrow ids; a column no arrow walks stays 0).
 
     Backtracks arrow by arrow and keeps, for every vertex, the interval of
     divergence its unassigned arrows can still produce; an arrow value is
@@ -133,17 +134,17 @@ def _integer_walk(
     index = {v: i for i, v in enumerate(need)}
     tails = [index[a.tail] for a in arrows]
     heads = [index[a.head] for a in arrows]
-    column = {key: j for j, key in enumerate(flow)}
+    column = {key: j for j, key in enumerate(columns)}
     slots = [column[a.id] for a in arrows]
     sorted_values = None if values is None else [values[a.id] for a in arrows]
     need = list(need.values())
     # [lo[v], hi[v]]: divergence the unassigned arrows at v can produce
     lo, hi = [0] * len(need), [0] * len(need)
-    for t, h in zip(tails, heads):
+    for t, h, cap in zip(tails, heads, caps):
         lo[t] -= cap
         hi[h] += cap
     parent, size = list(range(len(need))), [1] * len(need)
-    current = list(flow.values())
+    current = [0] * len(columns)
     points: list[tuple] = []
     last = len(arrows)
 
@@ -156,7 +157,7 @@ def _integer_walk(
         if i == last:
             points.append(tuple(current))
             return
-        t, h, slot = tails[i], heads[i], slots[i]
+        t, h, slot, cap = tails[i], heads[i], slots[i], caps[i]
         lo[t] += cap
         hi[h] -= cap
         nt, nh = need[t], need[h]
@@ -199,7 +200,8 @@ def _integer_walk(
 
     assign(0)
     del assign  # a recursive closure is a reference cycle: unbind it so the walk frees on return
-    return [dict(zip(flow, p)) for p in points]
+    points.sort()
+    return [dict(zip(columns, p)) for p in points]
 
 
 # -- lattice points ----------------------------------------------------------
@@ -229,84 +231,40 @@ def lattice_points(
     cap = k * sum(max(weight[v], 0) for v in quiver.vertices)
     arrows = _walk_arrows(quiver, order)
     need = {v: k * weight[v] for v in quiver.vertices}
-    flow = {a.id: 0 for a in arrows}
-    found = _integer_walk(arrows, need, cap, flow, _NodeBudget(max_nodes))
-    return _sorted_flows(found, quiver)
+    caps = [cap] * len(arrows)
+    return _integer_walk(arrows, need, caps, quiver.sorted_arrow_ids(), _NodeBudget(max_nodes))
 
 
 def bounded_lattice_points(
     spec: BoundedFlowSpec, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[dict]:
     """All integer flows of the flow polytope l <= x <= u with divergence
-    theta.  Cycles are fine here; the box bounds everything."""
+    theta, sorted lexicographically in sorted-arrow-id coordinates.
+    Cycles are fine here; the box bounds everything.
+
+    x - l runs over the flows in [0, u - l] with divergence theta - div(l):
+    the integer walk of `lattice_points` finds them on the non-loop arrows,
+    and l is added back.  A loop changes no divergence, so it takes every
+    value of its box."""
     spec.validate()
-    quiver = spec.quiver
-    theta = spec.weight
-    if sum(theta[v] for v in quiver.vertices) != 0:
-        return []
-    arrows = sorted(quiver.arrows, key=lambda a: a.id)
-    touched = {v for a in arrows for v in (a.tail, a.head)}
-    if any(theta[v] for v in quiver.vertices if v not in touched):
-        return []  # no arrow can meet the weight of an isolated vertex
-    budget = _NodeBudget(max_nodes)
-
-    # Interval of divergence still achievable at v by unassigned arrows.
-    rem_lo = {v: 0 for v in quiver.vertices}
-    rem_hi = {v: 0 for v in quiver.vertices}
-    for a in arrows:
-        l, u = spec.lower[a.id], spec.upper[a.id]
-        rem_lo[a.head] += l
-        rem_hi[a.head] += u
-        rem_lo[a.tail] -= u
-        rem_hi[a.tail] -= l
-
-    div = {v: 0 for v in quiver.vertices}
-    results: list[dict] = []
-    flow: dict = {}
-
-    def feasible(v: str) -> bool:
-        need = theta[v] - div[v]
-        return rem_lo[v] <= need <= rem_hi[v]
-
-    def assign(i: int) -> None:
-        if i == len(arrows):
-            results.append(dict(flow))
-            return
-        a = arrows[i]
-        l, u = spec.lower[a.id], spec.upper[a.id]
-        rem_lo[a.head] -= l
-        rem_hi[a.head] -= u
-        rem_lo[a.tail] += u
-        rem_hi[a.tail] += l
-        for x in range(l, u + 1):
-            budget.spend()
-            flow[a.id] = x
-            div[a.head] += x
-            div[a.tail] -= x
-            if feasible(a.head) and feasible(a.tail):
-                assign(i + 1)
-            div[a.head] -= x
-            div[a.tail] += x
-        del flow[a.id]
-        rem_lo[a.head] += l
-        rem_hi[a.head] += u
-        rem_lo[a.tail] -= u
-        rem_hi[a.tail] -= l
-
-    assign(0)
-    del assign  # a recursive closure is a reference cycle: unbind it
-    return _sorted_flows(results, quiver)
+    quiver, lower = spec.quiver, spec.lower
+    shift = divergence(quiver, lower)
+    need = {v: spec.weight[v] - shift[v] for v in quiver.vertices}
+    arrows = _walk_arrows(quiver, quiver.sorted_vertices())
+    caps = [spec.upper[a.id] - lower[a.id] for a in arrows]
+    order = quiver.sorted_arrow_ids()
+    flows = _integer_walk(arrows, need, caps, order, _NodeBudget(max_nodes))
+    loops = [a.id for a in quiver.arrows if a.is_loop()]
+    boxes = {a: range(lower[a], spec.upper[a] + 1) for a in loops}
+    points = sorted(
+        p
+        for f in flows
+        for p in product(*(boxes.get(a) or (x + lower[a],) for a, x in f.items()))
+    )
+    return [dict(zip(order, p)) for p in points]
 
 
 # -- flow polytope -> quiver polytope gadget ---------------------------------
-
-
-def _fresh(base: str, used: set) -> str:
-    name = base
-    while name in used:
-        name += "'"
-    used.add(name)
-    return name
 
 
 def to_quiver_polytope(spec: BoundedFlowSpec) -> tuple[Quiver, dict]:
@@ -338,14 +296,14 @@ def to_quiver_polytope(spec: BoundedFlowSpec) -> tuple[Quiver, dict]:
     new_weight = dict(shifted)
     for a in sorted(quiver.arrows, key=lambda a: a.id):
         uprime = spec.upper[a.id] - spec.lower[a.id]
-        va = _fresh(f"v_{a.id}", used_v)
-        wa = _fresh(f"w_{a.id}", used_v)
+        va = fresh_name(f"v_{a.id}", used_v)
+        wa = fresh_name(f"w_{a.id}", used_v)
         new_vertices.extend([va, wa])
         new_weight[va] = uprime
         new_weight[wa] = -uprime
-        new_arrows.append(Arrow(_fresh(f"{a.id}:1", used_a), a.tail, va))
-        new_arrows.append(Arrow(_fresh(f"{a.id}:2", used_a), wa, va))
-        new_arrows.append(Arrow(_fresh(f"{a.id}:3", used_a), wa, a.head))
+        new_arrows.append(Arrow(fresh_name(f"{a.id}:1", used_a), a.tail, va))
+        new_arrows.append(Arrow(fresh_name(f"{a.id}:2", used_a), wa, va))
+        new_arrows.append(Arrow(fresh_name(f"{a.id}:3", used_a), wa, a.head))
     return Quiver(new_vertices, new_arrows), new_weight
 
 
@@ -404,9 +362,9 @@ def vertices(
             x for x in (s + weight[a.head] for s in sums[ends]) if 0 < x <= cap
         )
     need = {v: weight[v] for v in quiver.vertices}
-    flow = {a.id: 0 for a in quiver.arrows}
-    found = _integer_walk(arrows, need, cap, flow, _NodeBudget(max_nodes), values)
-    return _sorted_flows(found, quiver)
+    caps = [cap] * len(arrows)
+    budget = _NodeBudget(max_nodes)
+    return _integer_walk(arrows, need, caps, quiver.sorted_arrow_ids(), budget, values)
 
 
 # -- dimension and facets ----------------------------------------------------

@@ -199,6 +199,17 @@ def check_weight(quiver: Quiver, weight: dict[str, int]) -> None:
         raise InputError(f"weight defined on unknown vertices: {sorted(extra)}")
 
 
+def fresh_name(base: str, taken: set) -> str:
+    """`base` with as many primes (') appended as it takes to leave
+    `taken`; the name is added to `taken`.  Every derived quiver names its
+    new vertices and arrows this way."""
+    name = base
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
 # -- connectivity ----------------------------------------------------------
 
 

@@ -39,6 +39,7 @@ from .quiver import (
     euler_characteristic,
     feasible_flow,
     flow_support,
+    fresh_name,
     is_theta_stable,
     push_flow,
 )
@@ -97,10 +98,8 @@ def contract(quiver: Quiver, weight: dict, arrow_id: str) -> tuple[Quiver, dict]
         raise LoopArrow(f"arrow {arrow_id!r} is a loop")
     check_weight(quiver, weight)
     parts = sorted(set(a.tail.split("+")) | set(a.head.split("+")))
-    merged = "+".join(parts)
     taken = {v for v in quiver.vertices if v not in (a.tail, a.head)}
-    while merged in taken:
-        merged += "'"
+    merged = fresh_name("+".join(parts), taken)
 
     def rename(v: str) -> str:
         return merged if v in (a.tail, a.head) else v
@@ -485,7 +484,6 @@ def double_quiver(quiver: Quiver, weight: dict, d: int) -> tuple[Quiver, dict]:
         raise InputError("doubling parameter d must be a positive integer")
     minus = {v: v + "-" for v in quiver.vertices}
     plus = {v: v + "+" for v in quiver.vertices}
-    taken = set(minus.values()) | set(plus.values())
     new_vertices = []
     for v in quiver.vertices:
         new_vertices.append(minus[v])
@@ -493,11 +491,7 @@ def double_quiver(quiver: Quiver, weight: dict, d: int) -> tuple[Quiver, dict]:
     arrow_ids = {a.id for a in quiver.arrows}
     new_arrows = [Arrow(a.id, minus[a.tail], plus[a.head]) for a in quiver.arrows]
     for v in quiver.vertices:
-        eid = "e_" + v
-        while eid in arrow_ids:
-            eid += "'"
-        arrow_ids.add(eid)
-        new_arrows.append(Arrow(eid, minus[v], plus[v]))
+        new_arrows.append(Arrow(fresh_name("e_" + v, arrow_ids), minus[v], plus[v]))
     new_weight = {}
     for v in quiver.vertices:
         new_weight[minus[v]] = -d

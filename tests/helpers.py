@@ -8,7 +8,6 @@ from torquiv import (
     Arrow,
     BoundedFlowSpec,
     Quiver,
-    bounded_lattice_points,
     recession_hilbert_basis,
 )
 
@@ -195,6 +194,79 @@ def in_convex_hull(point: tuple, others: list[tuple], rays: list[tuple] = ()) ->
     return simplex_feasible(columns, tuple(point) + (1,))
 
 
+def bounded_lattice_points_reference(spec) -> list[dict]:
+    """The integer flows of a box l <= x <= u with divergence theta, by a
+    backtracking over the arrows in id order (loops included) that keeps,
+    for every vertex, the interval of divergence its unassigned arrows can
+    still produce.  Sorted in sorted-arrow-id coordinates."""
+    spec.validate()
+    quiver, theta = spec.quiver, spec.weight
+    if sum(theta[v] for v in quiver.vertices) != 0:
+        return []
+    arrows = sorted(quiver.arrows, key=lambda a: a.id)
+    touched = {v for a in arrows for v in (a.tail, a.head)}
+    if any(theta[v] for v in quiver.vertices if v not in touched):
+        return []
+    rem_lo = {v: 0 for v in quiver.vertices}
+    rem_hi = {v: 0 for v in quiver.vertices}
+    for a in arrows:
+        l, u = spec.lower[a.id], spec.upper[a.id]
+        rem_lo[a.head] += l
+        rem_hi[a.head] += u
+        rem_lo[a.tail] -= u
+        rem_hi[a.tail] -= l
+    div = {v: 0 for v in quiver.vertices}
+    results = []
+    flow = {}
+
+    def feasible(v):
+        return rem_lo[v] <= theta[v] - div[v] <= rem_hi[v]
+
+    def assign(i):
+        if i == len(arrows):
+            results.append(dict(flow))
+            return
+        a = arrows[i]
+        l, u = spec.lower[a.id], spec.upper[a.id]
+        rem_lo[a.head] -= l
+        rem_hi[a.head] -= u
+        rem_lo[a.tail] += u
+        rem_hi[a.tail] += l
+        for x in range(l, u + 1):
+            flow[a.id] = x
+            div[a.head] += x
+            div[a.tail] -= x
+            if feasible(a.head) and feasible(a.tail):
+                assign(i + 1)
+            div[a.head] -= x
+            div[a.tail] += x
+        del flow[a.id]
+        rem_lo[a.head] += l
+        rem_hi[a.head] += u
+        rem_lo[a.tail] -= u
+        rem_hi[a.tail] -= l
+
+    assign(0)
+    order = quiver.sorted_arrow_ids()
+    return sorted(results, key=lambda f: [f[a] for a in order])
+
+
+def random_box(rng):
+    """A seeded flow polytope on at most 4 vertices and 5 arrows, cycles
+    and loops allowed, with lower bounds 0-1, widths 0-3 and a zero-sum
+    weight.  The arrows come in shuffled id order."""
+    n = rng.randint(1, 4)
+    verts = [f"v{i}" for i in range(n)]
+    ids = [f"a{k}" for k in range(rng.randint(1, 5))]
+    rng.shuffle(ids)
+    arrows = [Arrow(aid, rng.choice(verts), rng.choice(verts)) for aid in ids]
+    lower = {a.id: rng.randint(0, 1) for a in arrows}
+    upper = {a.id: lower[a.id] + rng.randint(0, 3) for a in arrows}
+    w = [rng.randint(-3, 3) for _ in range(n - 1)]
+    w.append(-sum(w))
+    return BoundedFlowSpec(Quiver(verts, arrows), dict(zip(verts, w)), lower, upper)
+
+
 def hull_vertices(quiver, weight) -> set:
     """Vertices of the polyhedron of a pair as flow tuples (sorted arrow
     ids), by the hull test on its integer points with entries up to the
@@ -204,7 +276,7 @@ def hull_vertices(quiver, weight) -> set:
         quiver, weight, {a.id: 0 for a in quiver.arrows}, {a.id: cap for a in quiver.arrows}
     )
     order = quiver.sorted_arrow_ids()
-    box = {tuple(p[a] for a in order) for p in bounded_lattice_points(spec)}
+    box = {tuple(p[a] for a in order) for p in bounded_lattice_points_reference(spec)}
     rays = [tuple(r[a] for a in order) for r in recession_hilbert_basis(quiver)]
     # a point that is another point plus a ray is neither a vertex nor needed
     # to span the others

@@ -32,11 +32,13 @@ from torquiv.quiver import components, is_acyclic
 from helpers import (
     affine_cycle_pair,
     affine_rank,
+    bounded_lattice_points_reference,
     hull_vertices,
     kronecker,
     loop_quiver,
     quiver_a,
     random_acyclic,
+    random_box,
     random_pair,
     two_cycle,
 )
@@ -87,6 +89,32 @@ def test_bounded_lattice_points():
     weight4 = {"u": -1, "v": 1, "w": 1, "z": -1}
     spec4 = BoundedFlowSpec(q4, weight4, {"a": 0}, {"a": 2})
     assert bounded_lattice_points(spec4) == []  # w and z have no arrows
+
+    # a loop changes no divergence, so it takes every value of its box,
+    # also where its sorted id comes before the other arrows'
+    q5 = Quiver(["u", "v"], [Arrow("b", "u", "v"), Arrow("a", "u", "u")])
+    spec5 = BoundedFlowSpec(q5, {"u": -1, "v": 1}, {"a": 1, "b": 0}, {"a": 3, "b": 2})
+    assert bounded_lattice_points(spec5) == [{"a": x, "b": 1} for x in (1, 2, 3)]
+    spec5w = BoundedFlowSpec(q5, {"u": 1, "v": -1}, {"a": 1, "b": 0}, {"a": 3, "b": 2})
+    assert bounded_lattice_points(spec5w) == []
+
+    # lower bounds shift the weight: a 2-cycle with l = 1 on both arrows
+    spec6 = BoundedFlowSpec(q2, {"u": -1, "v": 1}, {"a": 1, "b": 1}, {"a": 3, "b": 2})
+    assert bounded_lattice_points(spec6) == [{"a": 2, "b": 1}, {"a": 3, "b": 2}]
+
+
+def test_bounded_lattice_points_match_the_reference_backtracking():
+    rng = random.Random(2024)
+    nonempty = looped = 0
+    for _ in range(600):
+        spec = random_box(rng)
+        points = bounded_lattice_points(spec)
+        assert points == bounded_lattice_points_reference(spec), spec
+        order = spec.quiver.sorted_arrow_ids()
+        assert all(list(p) == order for p in points)
+        nonempty += bool(points)
+        looped += bool(points) and any(a.is_loop() for a in spec.quiver.arrows)
+    assert nonempty >= 200 and looped >= 150, (nonempty, looped)
 
 
 def test_flow_to_quiver_polytope_gadget():
@@ -172,8 +200,10 @@ def test_vertices_match_hull_oracle_on_random_pairs():
     for q, w in _random_pairs(31, 240):
         produced = vertices(q, w)
         order = q.sorted_arrow_ids()
-        assert {flow_tuple(v, order) for v in produced} == hull_vertices(q, w), (q, w)
-        assert len(produced) == len({flow_tuple(v, order) for v in produced})
+        tuples = [flow_tuple(v, order) for v in produced]
+        assert set(tuples) == hull_vertices(q, w), (q, w)
+        assert tuples == sorted(set(tuples))  # sorted, each vertex once
+        assert all(list(v) == order for v in produced)
         seen["nonempty"] += bool(produced)
         seen["several"] += len(produced) > 1
         seen["cyclic"] += bool(produced) and not is_acyclic(q)
