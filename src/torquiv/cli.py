@@ -7,6 +7,11 @@ commands emit a certificate carrying the command name, a digest of the
 input bytes, the effective parameters, the verdict, and any witnesses, so
 a rerun on the same input reproduces the output byte for byte.
 
+JSON output is byte for byte what `json.dumps` prints with a two-space
+indent and sorted keys, plus a newline; the error lines of exit 1 are one
+compact line.  The ``tighten --trace`` file and the corpus files come from
+the same writer, `jsonout.dumps`.
+
 Exit codes: 0 success, 1 malformed input or usage, 2 structured domain
 errors (empty or unbounded polyhedra, unsupported cases, search caps).
 All arithmetic is exact; no floats appear in any output.
@@ -40,6 +45,7 @@ from .ideal import (
     osm_certify_degree3,
     osm_lattice_points,
 )
+from .jsonout import dumps
 from .polytope import (
     DEFAULT_MAX_NODES,
     check_normality,
@@ -57,7 +63,7 @@ from .reductions import (
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(dumps(obj))
 
 
 def _error_json(kind: str, message: str) -> None:
@@ -172,9 +178,7 @@ def _cmd_tighten(args):
         "quiver": tq.to_dict(tw),
     }
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(trace.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        Path(args.trace).write_text(dumps(trace.to_json()) + "\n")
         result["trace_file"] = args.trace
     return result
 

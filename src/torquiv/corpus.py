@@ -13,8 +13,9 @@ shared by the tests and the command line:
 * the zero-weight lists for cycle ranks 1 through 4;
 * complete bipartite quivers K(2,2) and K(3,3) with unit weights.
 
-Every document serializes deterministically (sorted keys, two-space
-indent, trailing newline) so regeneration is byte-identical.
+Every document serializes deterministically through `jsonout.dumps`
+(sorted keys, two-space indent) plus a trailing newline, so regeneration
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 from pathlib import Path
 
 from .classify import build_Rd_quiver, enumerate_affine_Rdd
+from .jsonout import dumps
 from .multigraph import Multigraph
 from .quiver import Arrow, Quiver, canonical_weight, quiver_from_dict
 
@@ -194,7 +196,7 @@ def corpus_documents() -> dict[str, dict]:
 
 
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc) + "\n"
 
 
 def regenerate(directory) -> list[str]:

@@ -246,59 +246,59 @@ def reflect(quiver: Quiver, weight: dict, vertex_id: str) -> tuple[Quiver, dict]
 
 def _blocks(quiver: Quiver) -> list[tuple[frozenset, list[Arrow]]]:
     """Blocks of the underlying multigraph: maximal 2-vertex-connected
-    pieces, bridges as 2-vertex blocks, and each loop as its own block."""
+    pieces, bridges as 2-vertex blocks, and each loop as its own block.
+
+    Hopcroft-Tarjan: one depth-first search with an explicit stack of
+    (vertex, tree arrow into it, next incident index) frames, so a long
+    path needs no deep recursion."""
     blocks: list[tuple[frozenset, list[Arrow]]] = []
+    incident: dict = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
         if a.is_loop():
             blocks.append((frozenset([a.tail]), [a]))
-    plain = [a for a in quiver.arrows if not a.is_loop()]
+        else:
+            incident[a.tail].append(a)
+            incident[a.head].append(a)
 
     disc: dict = {}
     low: dict = {}
     stack: list[Arrow] = []
-    counter = [0]
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(quiver.vertices) + 100))
-
-    incident: dict = {v: [] for v in quiver.vertices}
-    for a in plain:
-        incident[a.tail].append(a)
-        incident[a.head].append(a)
-
-    def dfs(v: str, parent_edge: str | None) -> None:
-        disc[v] = low[v] = counter[0]
-        counter[0] += 1
-        for a in incident[v]:
-            if a.id == parent_edge:
+    for root in quiver.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        frames = [[root, None, 0]]
+        while frames:
+            frame = frames[-1]
+            v, tree_arrow, i = frame
+            if i < len(incident[v]):
+                frame[2] = i + 1
+                a = incident[v][i]
+                if a is tree_arrow:
+                    continue
+                w = a.head if a.tail == v else a.tail
+                if w not in disc:
+                    stack.append(a)
+                    disc[w] = low[w] = len(disc)
+                    frames.append([w, a, 0])
+                elif disc[w] < disc[v]:
+                    stack.append(a)
+                    low[v] = min(low[v], disc[w])
                 continue
-            w = a.head if a.tail == v else a.tail
-            if w not in disc:
-                stack.append(a)
-                dfs(w, a.id)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:
-                    block_edges = []
-                    while True:
-                        e = stack.pop()
-                        block_edges.append(e)
-                        if e.id == a.id:
-                            break
-                    vs = frozenset(
-                        [x for e in block_edges for x in (e.tail, e.head)]
-                    )
-                    blocks.append((vs, block_edges))
-            elif disc[w] < disc[v]:
-                stack.append(a)
-                low[v] = min(low[v], disc[w])
-
-    for v in quiver.vertices:
-        if v not in disc:
-            dfs(v, None)
-    del dfs  # a recursive closure is a reference cycle: unbind it so `blocks` frees
-    sys.setrecursionlimit(old_limit)
+            frames.pop()
+            if tree_arrow is None:
+                continue
+            u = frames[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                block_edges = []
+                while True:
+                    e = stack.pop()
+                    block_edges.append(e)
+                    if e is tree_arrow:
+                        break
+                vs = frozenset([x for e in block_edges for x in (e.tail, e.head)])
+                blocks.append((vs, block_edges))
     return blocks
 
 

@@ -1036,6 +1036,46 @@ def tighten_reference(quiver, weight):
     return quiver, weight, trace.to_json()
 
 
+def blocks_reference(quiver):
+    """Blocks of the underlying multigraph by the recursive Hopcroft-Tarjan
+    search: (vertex set, arrow list) pairs, each loop its own block."""
+    blocks = [(frozenset([a.tail]), [a]) for a in quiver.arrows if a.is_loop()]
+    incident = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        if not a.is_loop():
+            incident[a.tail].append(a)
+            incident[a.head].append(a)
+    disc, low, stack = {}, {}, []
+
+    def dfs(v, parent_edge):
+        disc[v] = low[v] = len(disc)
+        for a in incident[v]:
+            if a.id == parent_edge:
+                continue
+            w = a.head if a.tail == v else a.tail
+            if w not in disc:
+                stack.append(a)
+                dfs(w, a.id)
+                low[v] = min(low[v], low[w])
+                if low[w] >= disc[v]:
+                    block_edges = []
+                    while True:
+                        e = stack.pop()
+                        block_edges.append(e)
+                        if e.id == a.id:
+                            break
+                    vs = frozenset([x for e in block_edges for x in (e.tail, e.head)])
+                    blocks.append((vs, block_edges))
+            elif disc[w] < disc[v]:
+                stack.append(a)
+                low[v] = min(low[v], disc[w])
+
+    for v in quiver.vertices:
+        if v not in disc:
+            dfs(v, None)
+    return blocks
+
+
 def is_tight_by_moves_reference(quiver, weight):
     """No removable and no contractible arrow; None on an empty polyhedron."""
     if not extreme_points_reference(quiver, weight):

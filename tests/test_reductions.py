@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -34,16 +35,19 @@ from torquiv.errors import (
     WrongValencyPattern,
 )
 from torquiv.quiver import topological_order
-from torquiv.reductions import in_rd_form
+from torquiv.reductions import _blocks, in_rd_form
 
 from helpers import (
     affine_cycle_pair,
+    blocks_reference,
     extreme_points_reference,
     kronecker,
     loop_quiver,
     opposite_pair,
+    path_pair,
     quiver_a,
     random_acyclic,
+    random_pair,
 )
 
 
@@ -264,6 +268,34 @@ def test_hanging_weight_folds_into_cut_vertex():
     assert by_min["u"][1] == {"u": -1, "v": 1}
     assert by_min["v"][1] == {"v": -1, "w": 1}
     assert all(sum(f[1].values()) == 0 for f in factors)
+
+
+def _block_set(blocks):
+    return {(vs, frozenset(a.id for a in arrows)) for vs, arrows in blocks}
+
+
+def test_blocks_match_the_recursive_reference():
+    # random_pair draws loops and parallel arrows; max_vertices 7 gives
+    # cut vertices, bridges and several components
+    rng = random.Random(2024)
+    cut = 0
+    for _ in range(400):
+        q, _ = random_pair(rng, max_vertices=7, max_arrows=9)
+        got = _blocks(q)
+        want = blocks_reference(q)
+        assert len(got) == len(want)
+        assert _block_set(got) == _block_set(want)
+        cut += len([vs for vs, _ in got if len(vs) > 1]) > 1
+    assert cut >= 50
+
+
+def test_blocks_of_a_long_path_leave_the_recursion_limit_alone():
+    q, _ = path_pair(5000)
+    limit = sys.getrecursionlimit()
+    blocks = _blocks(q)
+    assert sys.getrecursionlimit() == limit
+    assert len(blocks) == 4999
+    assert all(len(vs) == 2 and len(arrows) == 1 for vs, arrows in blocks)
 
 
 def test_skeleton_quiver_a():
