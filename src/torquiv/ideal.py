@@ -23,12 +23,10 @@ on the same packing, gives their factorizations.
 
 import functools
 import itertools
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
-    EmptyWeight,
     InputError,
     NotBipartite,
     NotInSemigroup,
@@ -39,12 +37,12 @@ from .errors import (
 from .polytope import (
     DEFAULT_MAX_NODES,
     _codegree,
+    _lattice_tuples,
     _NodeBudget,
     _pack,
     _unpack,
     generation_degree,
     greedy_factorization,
-    lattice_points,
     support_dimension,
 )
 from .quiver import (
@@ -98,10 +96,7 @@ class GradedSemigroup:
         self.weight = dict(weight)
         self.max_nodes = max_nodes
         self.arrow_ids = tuple(quiver.sorted_arrow_ids())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyWeight)
-            pts = lattice_points(quiver, self.weight, 1, max_nodes=max_nodes)
-        self.generators = tuple(tuple(p[a] for a in self.arrow_ids) for p in pts)
+        self.generators = tuple(_lattice_tuples(quiver, self.weight, 1, max_nodes))
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
         self._top = max(itertools.chain.from_iterable(self.generators), default=0)
         self._support = {a for a, xs in zip(self.arrow_ids, zip(*self.generators)) if any(xs)}

@@ -10,6 +10,7 @@ through one string template per row shape.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
@@ -30,50 +31,55 @@ def dumps(obj) -> str:
       are escaped by the encoder `json` itself uses.
     * Row template: a list whose items are all dicts with one set of `str`
       keys and only plain `int` values (``type(v) is int``, so no `bool`)
-      prints every item through one ``%``-template.  A template is built
-      once per (sorted key tuple, depth) in each call.
+      prints every item through one ``%``-template.  Each row shape, the
+      template and the getter that reads a row's values in sorted key
+      order, is built once per (key tuple, depth) in each call.
     * Per-call memo: each distinct dict object is printed once per depth,
-      keyed by ``(id(obj), depth)``.  The memo lives only for this call,
-      while `obj` keeps every id alive; a memo that outlived the call
-      would hand out text for ids that garbage collection has reused.
+      from one memo per depth keyed by ``id(obj)``.  The memos live only
+      for this call, while `obj` keeps every id alive; a memo that
+      outlived the call would hand out text for ids that garbage
+      collection has reused.
     * Plain `int` values print as `json` prints them, with ``int.__repr__``.
       Anything else goes to `json.dumps` with the same options: bools,
       None, floats, dicts with a non-`str` key, and so on.
     """
-    templates: dict = {}
-    memo: dict = {}
+    shapes: dict = {}  # (key tuple, depth) -> (template, getter)
+    memos: dict = defaultdict(dict)  # depth -> {id(dict): text}
 
     def rows(items, depth: int) -> list[str] | None:
         """The items' texts through one template, or None when the items
         are not same-keyed integer rows."""
         first = items[0]
-        if (
-            type(first) is not dict
-            or not first
-            or not _INT.issuperset(map(type, first.values()))
-            or not _STR.issuperset(map(type, first))
-        ):
+        if type(first) is not dict:
             return None
         keys = first.keys()
         for d in items:
             if type(d) is not dict or d.keys() != keys:
                 return None
-        ordered = tuple(sorted(first))
-        template = templates.get((ordered, depth))
-        if template is None:
+        shape = shapes.get((tuple(first), depth))
+        if shape is None:
+            if (
+                not first
+                or not _INT.issuperset(map(type, first.values()))
+                or not _STR.issuperset(map(type, first))
+            ):
+                return None
+            ordered = sorted(first)
             inner = "\n" + "  " * (depth + 1)
             body = ("," + inner).join(_string(k).replace("%", "%%") + ": %d" for k in ordered)
             template = "{" + inner + body + "\n" + "  " * depth + "}"
-            templates[ordered, depth] = template
-        get = itemgetter(*ordered) if len(ordered) > 1 else lambda d: (d[ordered[0]],)
+            get = itemgetter(*ordered) if len(ordered) > 1 else lambda d: (d[ordered[0]],)
+            shape = shapes[tuple(first), depth] = template, get
+        template, get = shape
+        memo = memos[depth]
         out = []
         for d in items:
-            text = memo.get((id(d), depth))
+            text = memo.get(id(d))
             if text is None:
                 values = get(d)
                 if not _INT.issuperset(map(type, values)):
                     return None
-                text = memo[id(d), depth] = template % values
+                text = memo[id(d)] = template % values
             out.append(text)
         return out
 
@@ -82,7 +88,8 @@ def dumps(obj) -> str:
         if kind is dict:
             if not obj:
                 return "{}"
-            text = memo.get((id(obj), depth))
+            memo = memos[depth]
+            text = memo.get(id(obj))
             if text is None:
                 pad = "  " * depth
                 if _STR.issuperset(map(type, obj)):
@@ -93,7 +100,7 @@ def dumps(obj) -> str:
                     text = "{" + inner + body + "\n" + pad + "}"
                 else:
                     text = _fallback(obj, pad)
-                memo[id(obj), depth] = text
+                memo[id(obj)] = text
             return text
         if kind is list or kind is tuple:
             if not obj:

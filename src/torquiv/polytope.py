@@ -10,8 +10,9 @@ non-loop arrows, with a cap per arrow, enumerates lattice points; with
 forest support it enumerates vertices (integer flows with forest support,
 by total unimodularity); shifted by the lower bounds (x - l in [0, u - l]
 with divergence theta - div(l)) it enumerates a box.  The walk keeps its
-state in lists indexed by int, charges its node budget once per search
-node and returns its points sorted in sorted-arrow-id coordinates.
+state in lists indexed by int, loops through forced arrows and recurses
+only where it branches, charges its node budget once per search node and
+returns its points as sorted tuples in sorted-arrow-id coordinates.
 Dimensions are read off the support graph: |S| - |V| + c(V, S) for the
 arrows S that some point of the polyhedron uses, which one max-flow finds
 (`quiver.feasible_flow`).  No floats.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import (
     EmptyPolyhedron,
@@ -81,13 +82,10 @@ class _NodeBudget:
     def spend(self, n: int = 1) -> None:
         self.left -= n
         if self.left < 0:
-            raise SearchCapExceeded(
-                f"backtracking exceeded {self.max} nodes", max_nodes=self.max
-            )
+            raise self.exceeded()
 
-
-def flow_tuple(flow: dict, arrow_ids: list[str]) -> tuple:
-    return tuple(flow[a] for a in arrow_ids)
+    def exceeded(self) -> SearchCapExceeded:
+        return SearchCapExceeded(f"backtracking exceeded {self.max} nodes", max_nodes=self.max)
 
 
 # -- the integer walk --------------------------------------------------------
@@ -114,94 +112,209 @@ def _integer_walk(
     columns: list[str],
     budget: _NodeBudget,
     values: dict | None = None,
-) -> list[dict]:
+) -> list[tuple]:
     """Every integer flow on the non-loop `arrows` with entries in
-    [0, caps[i]] and divergence `need`, sorted, as dicts keyed by
-    `columns` (the sorted arrow ids; a column no arrow walks stays 0).
+    [0, caps[i]] and divergence `need`, as sorted tuples in `columns`
+    order (the sorted arrow ids; a column no arrow walks stays 0).
 
-    Backtracks arrow by arrow and keeps, for every vertex, the interval of
-    divergence its unassigned arrows can still produce; an arrow value is
-    tried only when both of its endpoints stay inside their intervals, so
-    every search node is locally feasible and the last arrow at a vertex is
-    forced outright.  With `values` (arrow id -> sorted positive values) an
-    arrow is positive only on a listed value and only when it joins two
+    Walks arrow by arrow and keeps, for every vertex, the interval of
+    divergence the arrows not yet assigned can still produce.  At a given
+    arrow these intervals are fixed, so the pair at each node's tail and
+    head is set up once, before the walk.  An arrow value is tried only
+    when both of its endpoints stay inside their intervals, so every
+    search node is locally feasible and the last arrow at a vertex is
+    forced outright.  With `values` (arrow id -> sorted positive values)
+    an arrow is positive only on a listed value and only when it joins two
     components of the support so far (a union-find with undo), so every
-    flow found has forest support.  Each node charges the budget once for
-    all of its tries."""
-    touched = {v for a in arrows for v in (a.tail, a.head)}
-    if any(need[v] for v in need if v not in touched):
-        return []  # no arrow can meet the weight of a vertex without one
+    flow found has forest support.
+
+    A node with one try goes on in the same frame, which undoes its
+    forced run when it returns, so the walk recurses only at a node with
+    two or more tries, and never into a child whose interval is empty.
+    Each node charges the budget once for all of its tries (a node with
+    none charges 0), in depth-first order."""
     index = {v: i for i, v in enumerate(need)}
-    tails = [index[a.tail] for a in arrows]
-    heads = [index[a.head] for a in arrows]
     column = {key: j for j, key in enumerate(columns)}
-    slots = [column[a.id] for a in arrows]
-    sorted_values = None if values is None else [values[a.id] for a in arrows]
     need = list(need.values())
-    # [lo[v], hi[v]]: divergence the unassigned arrows at v can produce
-    lo, hi = [0] * len(need), [0] * len(need)
-    for t, h, cap in zip(tails, heads, caps):
+    # [lo[v], hi[v]]: divergence the arrows after the current one can produce at v
+    lo, hi, touched = [0] * len(need), [0] * len(need), [False] * len(need)
+    nodes = []  # per arrow: tail, head, column, cap, and the intervals at its ends
+    for a, cap in zip(reversed(arrows), reversed(caps)):
+        t, h = index[a.tail], index[a.head]
+        nodes.append((t, h, column[a.id], cap, lo[t], hi[t], lo[h], hi[h]))
         lo[t] -= cap
         hi[h] += cap
-    parent, size = list(range(len(need))), [1] * len(need)
+        touched[t] = touched[h] = True
+    if any(x and not seen for x, seen in zip(need, touched)):
+        return []  # no arrow can meet the weight of a vertex without one
+    nodes.reverse()
+    last = len(nodes)
     current = [0] * len(columns)
     points: list[tuple] = []
-    last = len(arrows)
+    left = budget.left
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            v = parent[v]
-        return v
+    def walk(i: int, low: int, high: int) -> None:
+        """Every point on from node i, whose tries are low..high."""
+        nonlocal left
+        start = i
+        t, h, slot, cap, lot, hit, loh, hih = nodes[i]
+        while low == high:
+            left -= 1
+            if left < 0:
+                raise budget.exceeded()
+            current[slot] = low
+            need[t] += low
+            need[h] -= low
+            i += 1
+            if i == last:
+                points.append(tuple(current))
+                break
+            t, h, slot, cap, lot, hit, loh, hih = nodes[i]
+            nt, nh = need[t], need[h]
+            low, high = lot - nt, hit - nt
+            if nh - hih > low:
+                low = nh - hih
+            if nh - loh < high:
+                high = nh - loh
+            if low < 0:
+                low = 0
+            if high > cap:
+                high = cap
+            if low > high:
+                break
+        else:  # two or more tries; the last arrow is forced, so node i + 1 exists
+            left -= high - low + 1
+            if left < 0:
+                raise budget.exceeded()
+            nt, nh = need[t], need[h]
+            ct, ch, _slot, ccap, clot, chit, cloh, chih = nodes[i + 1]
+            for x in range(low, high + 1):
+                current[slot] = x
+                need[t] = nt + x
+                need[h] = nh - x
+                cnt, cnh = need[ct], need[ch]
+                low, high = clot - cnt, chit - cnt
+                if cnh - chih > low:
+                    low = cnh - chih
+                if cnh - cloh < high:
+                    high = cnh - cloh
+                if low < 0:
+                    low = 0
+                if high > ccap:
+                    high = ccap
+                if low <= high:
+                    walk(i + 1, low, high)
+            need[t], need[h] = nt, nh
+        for t, h, slot, _, _, _, _, _ in nodes[start:i]:  # undo the forced run
+            need[t] -= current[slot]
+            need[h] += current[slot]
 
-    def assign(i: int) -> None:
-        if i == last:
-            points.append(tuple(current))
-            return
-        t, h, slot, cap = tails[i], heads[i], slots[i], caps[i]
-        lo[t] += cap
-        hi[h] -= cap
-        nt, nh = need[t], need[h]
-        low, high = lo[t] - nt, hi[t] - nt
-        if nh - hi[h] > low:
-            low = nh - hi[h]
-        if nh - lo[h] < high:
-            high = nh - lo[h]
-        if low < 0:
-            low = 0
-        if high > cap:
-            high = cap
-        if sorted_values is None:
-            tries = range(low, high + 1)
-            joined = False
-        else:
-            tries = [0] if low == 0 <= high else []
-            rt, rh = find(t), find(h)
-            joined = rt != rh
-            if joined:
+    sorted_values = None if values is None else [values[a.id] for a in arrows]
+    parent, size = list(range(len(need))), [1] * len(need)
+
+    def forest(i: int, low: int, high: int) -> None:
+        """`walk` with forest support: at node i the tries are 0, when
+        low is, and, when the arrow joins two components of the support
+        (`parent`, union by `size`), its listed values in low..high."""
+        nonlocal left
+        start, joins = i, []
+        t, h, slot, cap, lot, hit, loh, hih = nodes[i]
+        while True:
+            rt, rh = t, h
+            while parent[rt] != rt:
+                rt = parent[rt]
+            while parent[rh] != rh:
+                rh = parent[rh]
+            if rt == rh:
+                tries = [] if low else [0]
+            else:
                 vals = sorted_values[i]
-                tries += vals[bisect_left(vals, low) : bisect_right(vals, high)]
+                tries = vals[bisect_left(vals, low) : bisect_right(vals, high)]
+                if not low:
+                    tries.insert(0, 0)
                 if size[rt] > size[rh]:
                     rt, rh = rh, rt
-        budget.spend(len(tries))
-        for x in tries:
-            current[slot] = x
-            need[t], need[h] = nt + x, nh - x
-            if x and joined:
+            if len(tries) != 1:
+                break
+            left -= 1
+            if left < 0:
+                raise budget.exceeded()
+            x = current[slot] = tries[0]
+            if x:
+                need[t] += x
+                need[h] -= x
                 parent[rt] = rh
                 size[rh] += size[rt]
-                assign(i + 1)
-                size[rh] -= size[rt]
-                parent[rt] = rt
-            else:
-                assign(i + 1)
-        need[t], need[h] = nt, nh
-        lo[t] -= cap
-        hi[h] += cap
+                joins.append((rt, rh))
+            i += 1
+            if i == last:
+                points.append(tuple(current))
+                tries = ()
+                break
+            t, h, slot, cap, lot, hit, loh, hih = nodes[i]
+            nt, nh = need[t], need[h]
+            low, high = lot - nt, hit - nt
+            if nh - hih > low:
+                low = nh - hih
+            if nh - loh < high:
+                high = nh - loh
+            if low < 0:
+                low = 0
+            if high > cap:
+                high = cap
+            if low > high:
+                tries = ()
+                break
+        if tries:  # two or more, so the arrow joins rt to rh when positive
+            left -= len(tries)
+            if left < 0:
+                raise budget.exceeded()
+            nt, nh = need[t], need[h]
+            ct, ch, _slot, ccap, clot, chit, cloh, chih = nodes[i + 1]
+            for x in tries:
+                current[slot] = x
+                need[t] = nt + x
+                need[h] = nh - x
+                if x:
+                    parent[rt] = rh
+                    size[rh] += size[rt]
+                cnt, cnh = need[ct], need[ch]
+                low, high = clot - cnt, chit - cnt
+                if cnh - chih > low:
+                    low = cnh - chih
+                if cnh - cloh < high:
+                    high = cnh - cloh
+                if low < 0:
+                    low = 0
+                if high > ccap:
+                    high = ccap
+                if low <= high:
+                    forest(i + 1, low, high)
+                if x:
+                    size[rh] -= size[rt]
+                    parent[rt] = rt
+            need[t], need[h] = nt, nh
+        for rt, rh in reversed(joins):
+            size[rh] -= size[rt]
+            parent[rt] = rt
+        for t, h, slot, _, _, _, _, _ in nodes[start:i]:
+            need[t] -= current[slot]
+            need[h] += current[slot]
 
-    assign(0)
-    del assign  # a recursive closure is a reference cycle: unbind it so the walk frees on return
+    try:
+        if last:
+            t, h, _slot, cap, lot, hit, loh, hih = nodes[0]
+            low = max(lot - need[t], need[h] - hih, 0)
+            high = min(hit - need[t], need[h] - loh, cap)
+            if low <= high:
+                (walk if values is None else forest)(0, low, high)
+        else:
+            points.append(tuple(current))
+    finally:
+        budget.left = left
+        del walk, forest  # recursive closures are reference cycles: unbind them so the walk frees
     points.sort()
-    return [dict(zip(columns, p)) for p in points]
+    return points
 
 
 # -- lattice points ----------------------------------------------------------
@@ -215,6 +328,15 @@ def lattice_points(
 
     One integer walk over the arrows, grouped by tail in topological order.
     """
+    points = _lattice_tuples(quiver, weight, k, max_nodes)
+    if not points and sum(weight[v] for v in quiver.vertices) != 0:
+        warnings.warn("weight does not sum to zero: polyhedron is empty", EmptyWeight)
+    return _flows(quiver, points)
+
+
+def _lattice_tuples(quiver: Quiver, weight: dict, k: int, max_nodes: int) -> list[tuple]:
+    """`lattice_points` as sorted tuples in sorted-arrow-id order, with no
+    warning for a weight that does not sum to zero."""
     if not isinstance(k, int) or k < 1:
         raise InputError("degree k must be a positive integer")
     check_weight(quiver, weight)
@@ -224,7 +346,6 @@ def lattice_points(
             "quiver has an oriented cycle; use bounded flows instead"
         )
     if sum(weight[v] for v in quiver.vertices) != 0:
-        warnings.warn("weight does not sum to zero: polyhedron is empty", EmptyWeight)
         return []
 
     # No single arrow can ever carry more than the total sink demand.
@@ -233,6 +354,12 @@ def lattice_points(
     need = {v: k * weight[v] for v in quiver.vertices}
     caps = [cap] * len(arrows)
     return _integer_walk(arrows, need, caps, quiver.sorted_arrow_ids(), _NodeBudget(max_nodes))
+
+
+def _flows(quiver: Quiver, points: list[tuple]) -> list[dict]:
+    """Tuples in sorted-arrow-id order as flow dicts."""
+    order = quiver.sorted_arrow_ids()
+    return [dict(zip(order, p)) for p in points]
 
 
 def bounded_lattice_points(
@@ -259,9 +386,9 @@ def bounded_lattice_points(
     points = sorted(
         p
         for f in flows
-        for p in product(*(boxes.get(a) or (x + lower[a],) for a, x in f.items()))
+        for p in product(*(boxes.get(a) or (x + lower[a],) for a, x in zip(order, f)))
     )
-    return [dict(zip(order, p)) for p in points]
+    return _flows(quiver, points)
 
 
 # -- flow polytope -> quiver polytope gadget ---------------------------------
@@ -351,20 +478,23 @@ def vertices(
         return []
     arrows = _walk_arrows(quiver, topological_order(quiver) or list(quiver.vertices))
     cap = sum(max(weight[v], 0) for v in quiver.vertices)
-    component = {v: comp for comp in components(quiver) for v in comp}
+    weighted: dict = {}  # vertex -> the vertices of its component with a nonzero weight
+    for comp in components(quiver):
+        weighted.update(dict.fromkeys(comp, [v for v in comp if weight[v]]))
     sums: dict = {}
     values: dict = {}
     for a in arrows:
         ends = frozenset((a.tail, a.head))
         if ends not in sums:
-            sums[ends] = _subset_sums(weight[v] for v in component[a.head] - ends)
+            sums[ends] = _subset_sums(weight[v] for v in weighted[a.head] if v not in ends)
         values[a.id] = sorted(
             x for x in (s + weight[a.head] for s in sums[ends]) if 0 < x <= cap
         )
     need = {v: weight[v] for v in quiver.vertices}
     caps = [cap] * len(arrows)
     budget = _NodeBudget(max_nodes)
-    return _integer_walk(arrows, need, caps, quiver.sorted_arrow_ids(), budget, values)
+    points = _integer_walk(arrows, need, caps, quiver.sorted_arrow_ids(), budget, values)
+    return _flows(quiver, points)
 
 
 # -- dimension and facets ----------------------------------------------------
@@ -486,21 +616,18 @@ def check_normality(
     degree-k coordinate, which k times any degree-1 point stays under."""
     if not isinstance(k, int) or k < 2:
         raise InputError("normality degree k must be an integer >= 2")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyWeight)
-        ones = lattice_points(quiver, weight, 1, max_nodes)
-        top = lattice_points(quiver, weight, k, max_nodes)
-    order = quiver.sorted_arrow_ids()
-    tuples = [flow_tuple(s, order) for s in top]
-    width = max((x for tup in tuples for x in tup), default=0).bit_length()
-    guards = _pack([1 << width] * len(order), width)
-    packed = [_pack(flow_tuple(f, order), width) for f in ones]
+    ones = _lattice_tuples(quiver, weight, 1, max_nodes)
+    top = _lattice_tuples(quiver, weight, k, max_nodes)
+    width = max(chain.from_iterable(top), default=0).bit_length()
+    guards = _pack([1 << width] * len(quiver.arrows), width)
+    packed = [_pack(p, width) for p in ones]
+    flows = _flows(quiver, ones)
     witness: dict = {}
-    for s, tup in zip(top, tuples):
+    for tup in top:
         picks = greedy_factorization(packed, _pack(tup, width), k, guards)
         if picks is None:
-            return False, {"counterexample": s}
-        witness[str(tup)] = [ones[i] for i in picks]
+            return False, {"counterexample": _flows(quiver, [tup])[0]}
+        witness[str(tup)] = [flows[i] for i in picks]
     return True, witness
 
 

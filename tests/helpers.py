@@ -194,6 +194,82 @@ def in_convex_hull(point: tuple, others: list[tuple], rays: list[tuple] = ()) ->
     return simplex_feasible(columns, tuple(point) + (1,))
 
 
+def flow_tuple(flow: dict, arrow_ids: list[str]) -> tuple:
+    return tuple(flow[a] for a in arrow_ids)
+
+
+def integer_walk_reference(arrows, need, caps, columns, budget, values=None) -> list[tuple]:
+    """`polytope._integer_walk` as one recursive call per search node:
+    the intervals are updated at every node, and every node, a dead one
+    included, charges `budget.spend` once for all of its tries."""
+    from bisect import bisect_left, bisect_right
+
+    touched = {v for a in arrows for v in (a.tail, a.head)}
+    if any(need[v] for v in need if v not in touched):
+        return []
+    index = {v: i for i, v in enumerate(need)}
+    tails = [index[a.tail] for a in arrows]
+    heads = [index[a.head] for a in arrows]
+    column = {key: j for j, key in enumerate(columns)}
+    slots = [column[a.id] for a in arrows]
+    sorted_values = None if values is None else [values[a.id] for a in arrows]
+    need = list(need.values())
+    lo, hi = [0] * len(need), [0] * len(need)
+    for t, h, cap in zip(tails, heads, caps):
+        lo[t] -= cap
+        hi[h] += cap
+    parent, size = list(range(len(need))), [1] * len(need)
+    current = [0] * len(columns)
+    points = []
+    last = len(arrows)
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def assign(i):
+        if i == last:
+            points.append(tuple(current))
+            return
+        t, h, slot, cap = tails[i], heads[i], slots[i], caps[i]
+        lo[t] += cap
+        hi[h] -= cap
+        nt, nh = need[t], need[h]
+        low = max(lo[t] - nt, nh - hi[h], 0)
+        high = min(hi[t] - nt, nh - lo[h], cap)
+        if sorted_values is None:
+            tries = range(low, high + 1)
+            joined = False
+        else:
+            tries = [0] if low == 0 <= high else []
+            rt, rh = find(t), find(h)
+            joined = rt != rh
+            if joined:
+                vals = sorted_values[i]
+                tries += vals[bisect_left(vals, low) : bisect_right(vals, high)]
+                if size[rt] > size[rh]:
+                    rt, rh = rh, rt
+        budget.spend(len(tries))
+        for x in tries:
+            current[slot] = x
+            need[t], need[h] = nt + x, nh - x
+            if x and joined:
+                parent[rt] = rh
+                size[rh] += size[rt]
+                assign(i + 1)
+                size[rh] -= size[rt]
+                parent[rt] = rt
+            else:
+                assign(i + 1)
+        need[t], need[h] = nt, nh
+        lo[t] -= cap
+        hi[h] += cap
+
+    assign(0)
+    return sorted(points)
+
+
 def bounded_lattice_points_reference(spec) -> list[dict]:
     """The integer flows of a box l <= x <= u with divergence theta, by a
     backtracking over the arrows in id order (loops included) that keeps,

@@ -14,6 +14,7 @@ from helpers import (
     all_factorizations,
     complete_bipartite,
     complete_to_equal_parts,
+    flow_tuple,
     in_convex_hull,
     random_acyclic,
     rewriting_connected,
@@ -41,7 +42,6 @@ from torquiv.polytope import (
     check_normality,
     dimension,
     facet_arrows,
-    flow_tuple,
     lattice_points,
     vertices,
 )

@@ -236,14 +236,31 @@ def test_localize_emits_zero_weight_quiver(tmp_path, capsys):
     assert all(value in (0, 1) for value in doc["vertex"].values())
 
 
-def test_deep_walk_reports_search_cap_exit_two(tmp_path, capsys):
-    # the lattice walk recurses once per arrow; past the recursion limit the
-    # CLI still answers with structured JSON, never a traceback
-    path = write_pair(tmp_path / "path.json", *path_pair(1200))
-    for argv in (["vertices", path], ["lattice-points", path]):
-        code, out = run_cli(capsys, *argv)
-        assert code == 2
-        assert json.loads(out)["error"] == "search-cap-exceeded"
+def test_deep_path_walks_answer_in_a_loop(tmp_path, capsys):
+    # the lattice walk runs through forced arrows in a loop and recurses only
+    # where it branches, so a 1,200-vertex path gives its one flow
+    q, w = path_pair(1200)
+    path = write_pair(tmp_path / "path.json", q, w)
+    ones = dict.fromkeys(q.sorted_arrow_ids(), 1)
+    for command, key in (("vertices", "vertices"), ("lattice-points", "points")):
+        code, out = run_cli(capsys, command, path)
+        assert code == 0, out[:200]
+        assert json.loads(out)[key] == [ones]
+
+
+def test_recursion_error_reports_search_cap_exit_two(tmp_path, capsys, monkeypatch):
+    # a search that still recurses past the limit answers with structured
+    # JSON, never a traceback
+    def too_deep(*_args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(torquiv.cli, "vertices", too_deep)
+    path = write_pair(tmp_path / "kronecker.json", *kronecker())
+    code, out = run_cli(capsys, "vertices", path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "search-cap-exceeded"
+    assert doc["detail"] == {"recursion_limit": sys.getrecursionlimit()}
 
 
 def test_zero_horizon_is_rejected_before_an_empty_semigroup_certifies(tmp_path, capsys):

@@ -29,13 +29,14 @@ from torquiv import (
 )
 from torquiv.corpus import acyclic_corpus_pairs, corpus_pairs
 from torquiv.errors import EmptyPolyhedron
-from torquiv.polytope import _pack, flow_tuple, greedy_factorization
+from torquiv.polytope import _pack, greedy_factorization
 from torquiv.quiver import feasible_flow, flow_support, is_acyclic
 
 from helpers import (
     dimension_reference,
     facet_arrows_reference,
     factorization_reference,
+    flow_tuple,
     greedy_factorization_reference,
     is_contractible_reference,
     is_removable_reference,

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import warnings
 
 import pytest
@@ -19,23 +20,27 @@ from torquiv import (
     to_quiver_polytope,
     vertices,
 )
-from torquiv.corpus import corpus_pairs, crossed_ladder_pair
+from torquiv import polytope
+from torquiv.corpus import acyclic_corpus_pairs, corpus_pairs, crossed_ladder_pair
 from torquiv.errors import (
     EmptyPolyhedron,
     EmptyWeight,
     SearchCapExceeded,
     UnboundedPolyhedron,
 )
-from torquiv.polytope import flow_tuple, gadget_flow
+from torquiv.polytope import _NodeBudget, gadget_flow
 from torquiv.quiver import components, is_acyclic
 
 from helpers import (
     affine_cycle_pair,
     affine_rank,
     bounded_lattice_points_reference,
+    flow_tuple,
     hull_vertices,
+    integer_walk_reference,
     kronecker,
     loop_quiver,
+    path_pair,
     quiver_a,
     random_acyclic,
     random_box,
@@ -326,6 +331,50 @@ def test_walk_node_counts_pin_every_cap_verdict():
             call(n)
             with pytest.raises(SearchCapExceeded):
                 call(n - 1)
+
+
+def test_integer_walk_matches_the_recursive_reference(monkeypatch):
+    # the looped walk finds the points of the walk that recursed once per
+    # search node and charges its budget the same number of nodes
+    walk = polytope._integer_walk
+    seen = {"lattice": 0, "forest": 0, "charged": 0}
+
+    def checked(arrows, need, caps, columns, budget, values=None):
+        expected_budget = _NodeBudget(budget.left)
+        expected = integer_walk_reference(arrows, need, caps, columns, expected_budget, values)
+        points = walk(arrows, need, caps, columns, budget, values)
+        assert points == expected, (arrows, need, caps, values)
+        assert budget.left == expected_budget.left, (arrows, need, caps, values)
+        seen["lattice" if values is None else "forest"] += 1
+        seen["charged"] += budget.left < budget.max
+        return points
+
+    monkeypatch.setattr(polytope, "_integer_walk", checked)
+    pairs = [(q, w) for _stem, q, w in acyclic_corpus_pairs()]
+    for q, w in pairs:
+        for k in (1, 2, 3):
+            lattice_points(q, w, k)
+    rng = random.Random(18)
+    while len(pairs) < 120:
+        q, w = random_acyclic(rng, max_vertices=6, max_arrows=10, weight_bound=3)
+        if lattice_points(q, w, 1):
+            lattice_points(q, w, 2)
+            pairs.append((q, w))
+    for q, w in pairs + _random_pairs(19, 200):
+        vertices(q, w)
+    rng = random.Random(20)
+    for _ in range(600):
+        bounded_lattice_points(random_box(rng))
+    assert seen["lattice"] >= 1000 and seen["forest"] >= 300 and seen["charged"] >= 450, seen
+
+
+def test_long_path_vertex_in_linear_time():
+    # the value sets of `vertices` sum only the weighted vertices of a
+    # component, so a 20,000-vertex path does not scan its component per arrow
+    q, w = path_pair(20_000)
+    start = time.process_time()
+    assert vertices(q, w) == [dict.fromkeys(q.sorted_arrow_ids(), 1)]
+    assert time.process_time() - start < 2.0
 
 
 def test_vertices_scale_with_the_weight():
