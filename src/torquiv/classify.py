@@ -46,17 +46,17 @@ from .multigraph import (
     directed_canonical_key,
     from_canonical_key,
 )
-from .polytope import DEFAULT_MAX_NODES, dimension, vertices
+from .polytope import DEFAULT_MAX_NODES, support_dimension, vertices
 from .quiver import (
     Arrow,
     Quiver,
     check_weight,
-    components,
     euler_characteristic,
     feasible_flow,
+    flow_support,
     fresh_name,
     is_acyclic,
-    is_strongly_connected,
+    strongly_connected_components,
 )
 from .reductions import in_rd_form, is_prime, is_tight, skeleton, tighten
 
@@ -293,11 +293,10 @@ def enumerate_Rd(d: int) -> list[Quiver]:
 
 
 def _all_components_strong(quiver: Quiver) -> bool:
-    for comp in components(quiver):
-        sub = quiver.induced_on_vertices(comp)
-        if not is_strongly_connected(sub):
-            return False
-    return True
+    """Every weak component is strongly connected: every arrow has both
+    ends in one strong component."""
+    comp = {v: i for i, c in enumerate(strongly_connected_components(quiver)) for v in c}
+    return all(comp[a.tail] == comp[a.head] for a in quiver.arrows)
 
 
 def _strong_everywhere(quiver: Quiver) -> bool:
@@ -495,24 +494,32 @@ def normal_fan_2d(
 ) -> Fan2D:
     """Outward primitive edge normals of the polygon the pair cuts out.
 
-    The pair is tightened first; the two coordinates left free by the
-    lexicographically smallest spanning forest then give an isomorphism of
-    the polytope's affine lattice onto the plane's standard lattice, so the
-    resulting ray set is well-defined up to a determinant +-1 change of
-    basis.  Requires the tightened polytope to be 2-dimensional."""
-    if feasible_flow(quiver, weight) is None:
+    Emptiness, boundedness and dimension are read off one feasible flow
+    and its support.  The tightened quiver is acyclic exactly when the
+    support subgraph is: the removals leave exactly the support, and a
+    contraction keeps every oriented cycle and creates none, since an
+    arrow with another directed path from its tail to its head is never
+    contractible.  Tightening keeps the dimension, so only a 2-dimensional
+    pair is tightened.  The two coordinates left free by the
+    lexicographically smallest spanning forest of the tightened quiver
+    then give an isomorphism of the polytope's affine lattice onto the
+    plane's standard lattice, so the resulting ray set is well-defined up
+    to a determinant +-1 change of basis."""
+    flow = feasible_flow(quiver, weight)
+    if flow is None:
         raise EmptyPolyhedron("the pair cuts out an empty polyhedron")
-    tq, tw, _ = tighten(quiver, weight)
-    if not is_acyclic(tq):
+    support = flow_support(quiver, flow)
+    if not is_acyclic(quiver.restricted_to_arrows(support)):
         raise UnsupportedCase(
             "the tightened quiver keeps an oriented cycle; only bounded "
             "polyhedra have a complete normal fan"
         )
-    dim = dimension(tq, tw)
+    dim = support_dimension(quiver, support)
     if dim != 2:
         raise WrongDimension(
             f"the tightened polytope has dimension {dim}, need 2", dimension=dim
         )
+    tq, tw, _ = tighten(quiver, weight)
     free = [aid for aid in tq.sorted_arrow_ids() if aid not in _lex_min_forest(tq)]
     assert len(free) == 2, "a tight 2-dimensional pair leaves two free coordinates"
     f1, f2 = free

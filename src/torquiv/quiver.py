@@ -103,15 +103,9 @@ class Quiver:
         self.arrow(arrow_id)
         return Quiver(self.vertices, [a for a in self.arrows if a.id != arrow_id])
 
-    def restricted_to_arrows(self, arrow_ids: Iterable[str], keep_all_vertices: bool = True) -> "Quiver":
+    def restricted_to_arrows(self, arrow_ids: Iterable[str]) -> "Quiver":
         keep = set(arrow_ids)
-        arrows = [a for a in self.arrows if a.id in keep]
-        if keep_all_vertices:
-            vertices: Iterable[str] = self.vertices
-        else:
-            used = {a.tail for a in arrows} | {a.head for a in arrows}
-            vertices = [v for v in self.vertices if v in used]
-        return Quiver(vertices, arrows)
+        return Quiver(self.vertices, [a for a in self.arrows if a.id in keep])
 
     def induced_on_vertices(self, vertex_ids: Iterable[str]) -> "Quiver":
         keep = set(vertex_ids)

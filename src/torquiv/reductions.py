@@ -104,11 +104,7 @@ def contract(quiver: Quiver, weight: dict, arrow_id: str) -> tuple[Quiver, dict]
     def rename(v: str) -> str:
         return merged if v in (a.tail, a.head) else v
 
-    new_vertices = []
-    for v in quiver.vertices:
-        nv = rename(v)
-        if nv not in new_vertices:
-            new_vertices.append(nv)
+    new_vertices = dict.fromkeys(map(rename, quiver.vertices))
     new_arrows = [
         Arrow(b.id, rename(b.tail), rename(b.head))
         for b in quiver.arrows
@@ -152,55 +148,47 @@ def is_contractible(quiver: Quiver, weight: dict, arrow_id: str) -> bool:
 # -- tightening ------------------------------------------------------------
 
 
-def _next_move(quiver: Quiver, flow: dict) -> tuple[str, str] | None:
-    """The next tightening move on the pair through the feasible `flow`:
-    ("remove", a) for the smallest arrow id off the support, else
-    ("contract", a) for the smallest contractible arrow id, else None."""
-    support = flow_support(quiver, flow)
-    ids = quiver.sorted_arrow_ids()
-    for aid in ids:
-        if aid not in support:
-            return "remove", aid
-    for aid in ids:
-        a = quiver.arrow(aid)
-        if not a.is_loop() and _contractible(quiver, flow, a):
-            return "contract", aid
-    return None
-
-
-def _apply_move(
-    quiver: Quiver, weight: dict, flow: dict, kind: str, aid: str
-) -> tuple[Quiver, dict]:
-    """Remove or contract the arrow; `flow` stays feasible for the result
-    (a removed arrow carries 0, and a contraction keeps the divergence of
-    every other arrow's ends)."""
-    del flow[aid]
-    if kind == "remove":
-        return quiver.without_arrow(aid), weight
-    return contract(quiver, weight, aid)
-
-
 def tighten(quiver: Quiver, weight: dict) -> tuple[Quiver, dict, ReductionTrace]:
     """Remove/contract until no arrow is removable or contractible.
 
-    Deterministic move order: scan arrows in id order, removals before
-    contractions, restart after every move.  One flow is carried across
-    the moves.  The result is a tight pair with the same polyhedron up to
-    integral-affine equivalence."""
+    Deterministic move order: every arrow off the support is removed, in id
+    order, then every contractible non-loop arrow is contracted, in id
+    order.  One flow is carried across the moves.  The result is a tight
+    pair with the same polyhedron up to integral-affine equivalence.
+
+    One pass of each kind is enough.  A removal leaves the polyhedron, and
+    so the support, unchanged.  A contraction drops the redundant x(a) >= 0,
+    which only enlarges every other arrow's relaxed region, so an arrow
+    passed over stays non-contractible.  The moves are those of a scan that
+    restarts after every move."""
     flow = _nonempty_flow(quiver, weight, "cannot tighten an empty polyhedron")
+    support = flow_support(quiver, flow)
     trace = ReductionTrace()
-    while (move := _next_move(quiver, flow)) is not None:
-        quiver, weight = _apply_move(quiver, weight, flow, *move)
-        trace.moves.append(Move(*move, quiver, dict(weight)))
+    for aid in quiver.sorted_arrow_ids():
+        if aid not in support:
+            # a removed arrow carries 0, so `flow` stays feasible
+            del flow[aid]
+            quiver = quiver.without_arrow(aid)
+            trace.moves.append(Move("remove", aid, quiver, dict(weight)))
+    for aid in quiver.sorted_arrow_ids():
+        a = quiver.arrow(aid)
+        if not a.is_loop() and _contractible(quiver, flow, a):
+            # a contraction keeps the divergence of every other arrow's ends
+            del flow[aid]
+            quiver, weight = contract(quiver, weight, aid)
+            trace.moves.append(Move("contract", aid, quiver, dict(weight)))
     return quiver, weight, trace
 
 
 def is_tight(quiver: Quiver, weight: dict) -> bool:
-    """No removable and no contractible arrow."""
+    """No removable and no contractible arrow: the support is every arrow,
+    and no non-loop arrow is contractible."""
     flow = _nonempty_flow(
         quiver, weight, "tightness undefined for an empty polyhedron"
     )
-    return _next_move(quiver, flow) is None
+    return len(flow_support(quiver, flow)) == len(quiver.arrows) and not any(
+        not a.is_loop() and _contractible(quiver, flow, a) for a in quiver.arrows
+    )
 
 
 # -- reflection --------------------------------------------------------------
@@ -433,12 +421,16 @@ def normalize_to_Rd(quiver: Quiver, weight: dict) -> tuple[Quiver, dict, Reducti
     """Drive a tight prime pair into the normal form where every valency-2
     vertex is a sink and no arrow joins two valency-2 vertices.
 
-    Moves, in priority order: remove a removable arrow, contract a
-    contractible one (these only become available when a reflection has
-    just broken tightness, e.g. by turning a valency-2 sink into a
-    flow-through vertex), then reflect a valency-2 source.  Each reflection
-    lowers the valency-2 source count and removals/contractions lower the
-    arrow count, so the loop terminates."""
+    The only moves are reflections, at the valency-2 source of smallest
+    id.  A reflection swaps two coordinates, and that swap maps the affine
+    space {div x = theta}, the polyhedron and every relaxed region onto
+    their counterparts, so removability and contractibility carry over and
+    the pair stays tight.  A tight pair has no flow-through valency-2
+    vertex (one of its two arrows would be contractible), so a reflection
+    makes no neighbour a valency-2 source, unless the quiver is two
+    vertices joined by two arrows, which euler characteristic >= 2 rules
+    out.  Each reflection thus lowers the valency-2 source count, and the
+    loop terminates."""
     check_weight(quiver, weight)
     if not is_prime(quiver):
         raise NotPrime("normal form needs a prime quiver")
@@ -448,13 +440,7 @@ def normalize_to_Rd(quiver: Quiver, weight: dict) -> tuple[Quiver, dict, Reducti
         raise UnsupportedCase("normal form needs euler characteristic >= 2")
 
     trace = ReductionTrace()
-    flow = feasible_flow(quiver, weight)
     while True:
-        move = _next_move(quiver, flow)
-        if move is not None:
-            quiver, weight = _apply_move(quiver, weight, flow, *move)
-            trace.moves.append(Move(*move, quiver, dict(weight)))
-            continue
         source = None
         for v in sorted(quiver.vertices):
             if quiver.valency(v) == 2 and quiver.outdegree(v) == 2:
@@ -463,7 +449,6 @@ def normalize_to_Rd(quiver: Quiver, weight: dict) -> tuple[Quiver, dict, Reducti
         if source is None:
             break
         quiver, weight = reflect(quiver, weight, source)
-        flow = feasible_flow(quiver, weight)
         trace.moves.append(Move("reflect", source, quiver, dict(weight)))
     if not in_rd_form(quiver):
         raise UnsupportedCase(

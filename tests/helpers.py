@@ -957,20 +957,25 @@ def orbit_least_compositions_reference(n, e):
     return kept
 
 
+def all_components_strong_reference(quiver):
+    """Every weak component, as an induced subquiver, is strongly
+    connected."""
+    from torquiv.quiver import components, is_strongly_connected
+
+    return all(
+        is_strongly_connected(quiver.induced_on_vertices(comp))
+        for comp in components(quiver)
+    )
+
+
 def enumerate_affine_Rdd_reference(d):
     """Filter every composition by degrees, primality and strong
     connectivity after each single-arrow deletion, keeping the first quiver
     found per isomorphism class."""
     from torquiv import is_prime, loop_quiver
-    from torquiv.quiver import components, is_strongly_connected
 
     if d == 1:
         return [loop_quiver()]
-
-    def strong(q):
-        return all(
-            is_strongly_connected(q.induced_on_vertices(comp)) for comp in components(q)
-        )
 
     found = {}
     for n in range(2, d):
@@ -978,9 +983,12 @@ def enumerate_affine_Rdd_reference(d):
             if not degree_feasible(n, counts):
                 continue
             q = affine_quiver(n, counts)
-            if not is_prime(q) or not strong(q):
+            if not is_prime(q) or not all_components_strong_reference(q):
                 continue
-            if not all(strong(q.without_arrow(aid)) for aid in q.sorted_arrow_ids()):
+            if not all(
+                all_components_strong_reference(q.without_arrow(aid))
+                for aid in q.sorted_arrow_ids()
+            ):
                 continue
             found.setdefault(quiver_key_reference(q), q)
     return [found[k] for k in sorted(found)]
@@ -1110,6 +1118,68 @@ def tighten_reference(quiver, weight):
             quiver, weight = contract(quiver, weight, aid)
         trace.moves.append(Move(kind, aid, quiver, dict(weight)))
     return quiver, weight, trace.to_json()
+
+
+def normalize_to_Rd_reference(quiver, weight):
+    """The normal-form loop that looks for a removal, then a contraction,
+    arrows in id order, before every reflection at the valency-2 source of
+    smallest id; (quiver, weight, trace JSON)."""
+    from torquiv import contract, is_contractible, is_removable, reflect
+    from torquiv.reductions import Move, ReductionTrace
+
+    trace = ReductionTrace()
+    while True:
+        ids = quiver.sorted_arrow_ids()
+        move = next(
+            (("remove", aid) for aid in ids if is_removable(quiver, weight, aid)), None
+        ) or next(
+            (
+                ("contract", aid)
+                for aid in ids
+                if not quiver.arrow(aid).is_loop()
+                and is_contractible(quiver, weight, aid)
+            ),
+            None,
+        )
+        if move is None:
+            sources = [
+                v
+                for v in sorted(quiver.vertices)
+                if quiver.valency(v) == 2 and quiver.outdegree(v) == 2
+            ]
+            if not sources:
+                return quiver, weight, trace.to_json()
+            move = "reflect", sources[0]
+            quiver, weight = reflect(quiver, weight, sources[0])
+        elif move[0] == "remove":
+            quiver = quiver.without_arrow(move[1])
+        else:
+            quiver, weight = contract(quiver, weight, move[1])
+        trace.moves.append(Move(*move, quiver, dict(weight)))
+
+
+def normal_fan_2d_reference(quiver, weight):
+    """The rays of `normal_fan_2d`, or its error JSON, with the pair
+    tightened first and the oriented-cycle and dimension checks read off
+    the tightened pair."""
+    from torquiv import dimension, normal_fan_2d, tighten
+    from torquiv.errors import EmptyPolyhedron, UnsupportedCase, WrongDimension
+    from torquiv.quiver import feasible_flow, is_acyclic
+
+    if feasible_flow(quiver, weight) is None:
+        return EmptyPolyhedron("the pair cuts out an empty polyhedron").to_json()
+    tq, tw, _ = tighten(quiver, weight)
+    if not is_acyclic(tq):
+        return UnsupportedCase(
+            "the tightened quiver keeps an oriented cycle; only bounded "
+            "polyhedra have a complete normal fan"
+        ).to_json()
+    dim = dimension(tq, tw)
+    if dim != 2:
+        return WrongDimension(
+            f"the tightened polytope has dimension {dim}, need 2", dimension=dim
+        ).to_json()
+    return normal_fan_2d(tq, tw).rays
 
 
 def blocks_reference(quiver):

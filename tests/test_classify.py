@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import itertools
@@ -36,7 +37,9 @@ from torquiv import (
     skeleton,
     tighten,
 )
+from torquiv.corpus import corpus_pairs
 from torquiv.errors import (
+    DomainError,
     EmptyPolyhedron,
     InputError,
     NotInRd,
@@ -46,6 +49,7 @@ from torquiv.errors import (
 )
 from torquiv.classify import (
     _affine_compositions,
+    _all_components_strong,
     _orbit_least_compositions,
     _orbit_minimal_choices,
 )
@@ -53,15 +57,19 @@ from torquiv.quiver import components, is_acyclic, is_theta_stable
 
 from helpers import (
     affine_quiver,
+    all_components_strong_reference,
     compositions_reference,
     contract_edge,
     degree_feasible,
     enumerate_affine_Rdd_reference,
     enumerate_Rd_reference,
     kronecker,
+    normal_fan_2d_reference,
     opposite_pair,
     orbit_least_compositions_reference,
+    path_pair,
     quiver_a,
+    random_acyclic,
     random_pair,
     skeleton_keys_reference,
     two_cycle,
@@ -442,6 +450,19 @@ def test_affine_lists_match_the_unpruned_reference():
         assert got == [q.to_dict() for q in enumerate_affine_Rdd_reference(d)], d
 
 
+def test_all_components_strong_matches_the_induced_subquivers():
+    # one strong-component pass against a Tarjan run per induced weak
+    # component, on quivers with cycles, loops and isolated vertices
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(400):
+        q, _ = random_pair(rng, max_vertices=5, max_arrows=8)
+        strong = _all_components_strong(q)
+        assert strong == all_components_strong_reference(q), q.to_dict()
+        seen.add(strong)
+    assert seen == {True, False}
+
+
 def test_affine_orbit_filter_matches_brute_force():
     for n in (2, 3, 4):
         for e in range(n + 1, n + 5):
@@ -558,6 +579,39 @@ def test_fan_error_cases():
     q, w = two_cycle()
     with pytest.raises(UnsupportedCase):
         normal_fan_2d(q, w)
+
+
+def test_fan_checks_match_the_tighten_first_reference():
+    # the oriented-cycle and dimension checks read the input's support, and
+    # give the same rays, errors and messages as on the tightened pair
+    rng = random.Random(19)
+    pairs = [(q, w) for _name, q, w in corpus_pairs()]
+    for i in range(600):
+        if i % 2:
+            pairs.append(random_pair(rng, max_vertices=6, max_arrows=9, weight_bound=2))
+        else:
+            pairs.append(random_acyclic(rng, max_vertices=4, max_arrows=6, weight_bound=2))
+    seen = collections.Counter()
+    for q, w in pairs:
+        try:
+            got = normal_fan_2d(q, w).rays
+        except DomainError as exc:
+            got = exc.to_json()
+        assert got == normal_fan_2d_reference(q, w), q.to_dict(w)
+        seen[got["error"] if isinstance(got, dict) else "fan"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def test_fan_of_a_long_path_is_refused_before_tightening(monkeypatch):
+    import torquiv.classify as classify
+
+    def refuse(*_args):
+        raise AssertionError("a pair of the wrong dimension was tightened")
+
+    monkeypatch.setattr(classify, "tighten", refuse)
+    with pytest.raises(WrongDimension) as info:
+        normal_fan_2d(*path_pair(1200))
+    assert info.value.payload == {"dimension": 0}
 
 
 # -- surface classification ------------------------------------------------------

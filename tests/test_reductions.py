@@ -7,9 +7,11 @@ import pytest
 from torquiv import (
     Arrow,
     Quiver,
+    canonical_weight,
     contract,
     dimension,
     double_quiver,
+    enumerate_Rd,
     euler_characteristic,
     facet_arrows,
     is_contractible,
@@ -25,6 +27,7 @@ from torquiv import (
     vertex_localization,
     vertices,
 )
+from torquiv.corpus import corpus_pairs
 from torquiv.errors import (
     EmptyPolyhedron,
     LoopArrow,
@@ -34,7 +37,7 @@ from torquiv.errors import (
     ValencyTooLow,
     WrongValencyPattern,
 )
-from torquiv.quiver import topological_order
+from torquiv.quiver import feasible_flow, flow_support, topological_order
 from torquiv.reductions import _blocks, in_rd_form
 
 from helpers import (
@@ -43,6 +46,7 @@ from helpers import (
     extreme_points_reference,
     kronecker,
     loop_quiver,
+    normalize_to_Rd_reference,
     opposite_pair,
     path_pair,
     quiver_a,
@@ -140,6 +144,24 @@ def test_tighten_identity_on_tight_pair():
     assert is_tight(q2, w2)
     _, _, trace2 = tighten(q2, w2)
     assert trace2.moves == []
+
+
+def test_tighten_takes_the_support_once(monkeypatch):
+    # removals keep the support and contractions keep every other arrow
+    # non-contractible, so one pass of each needs one support
+    import torquiv.reductions as reductions
+
+    calls = []
+
+    def counting(quiver, flow):
+        calls.append(1)
+        return flow_support(quiver, flow)
+
+    monkeypatch.setattr(reductions, "flow_support", counting)
+    tq, tw, trace = tighten(*path_pair(300))
+    assert len(calls) == 1
+    assert [m.kind for m in trace.moves] == ["contract"] * 299
+    assert len(tq.vertices) == 1 and not tq.arrows and set(tw.values()) == {0}
 
 
 def test_tighten_idempotent():
@@ -407,6 +429,53 @@ def test_normalize_reflects_valency2_source():
     assert nq == q and nw == w
     for k in (1, 2):
         assert count(nq, nw, k) == count(q, w, k)
+
+
+def _normal_form_inputs():
+    """Tight prime pairs with euler characteristic >= 2 that are not in
+    normal form: the reflected quiver_a, and the prime factors of the
+    tightened corpus and of seeded pairs and the tight canonical R_3 pairs,
+    each reflected at all its valency-2 sinks (still tight and prime)."""
+    tight = [
+        (q, canonical_weight(q))
+        for q in enumerate_Rd(3)
+        if is_tight(q, canonical_weight(q))
+    ]
+    pairs = [(q, w) for _name, q, w in corpus_pairs()]
+    rng = random.Random(29)
+    for i in range(300):
+        if i % 2:
+            pairs.append(random_pair(rng, max_vertices=6, max_arrows=9, weight_bound=2))
+        else:
+            pairs.append(random_acyclic(rng, max_vertices=6, max_arrows=10, weight_bound=3))
+    for q, w in pairs:
+        if feasible_flow(q, w) is None:
+            continue
+        for fq, fw in prime_decompose(*tighten(q, w)[:2]):
+            if is_prime(fq) and euler_characteristic(fq) >= 2:
+                tight.append((fq, fw))
+    inputs = [reflect(*quiver_a((-3, 2, 2, 2, -3)), "m1")]
+    for q, w in tight:
+        for v in sorted(q.vertices):
+            if q.valency(v) == 2 and q.indegree(v) == 2:
+                q, w = reflect(q, w, v)
+        if not in_rd_form(q):
+            inputs.append((q, w))
+    return inputs
+
+
+def test_normalize_reflects_only_and_matches_the_loop_with_moves():
+    # a reflection swaps two coordinates, so a tight pair stays tight and
+    # the loop that looked for a removal or contraction first never found one
+    reflections = 0
+    for q, w in _normal_form_inputs():
+        rq, rw, rtrace = normalize_to_Rd_reference(q, w)
+        nq, nw, trace = normalize_to_Rd(q, w)
+        assert trace.to_json() == rtrace
+        assert nq.to_dict(nw) == rq.to_dict(rw)
+        assert all(is_tight(m.quiver, m.weight) for m in trace.moves)
+        reflections += len(trace.moves)
+    assert reflections >= 200, reflections
 
 
 def test_normalize_requires_tight():
