@@ -104,14 +104,29 @@ def _augmentations(graph: Multigraph, cubic: bool):
 
 def _skeleton_keys(d: int, cubic: bool) -> list:
     """Sorted canonical keys of the rank-d skeletons, or of the 3-regular
-    ones, grown from those of rank d - 1 (see enumerate_skeletons)."""
+    ones, grown from those of rank d - 1 (see enumerate_skeletons).  An
+    automorphism of the parent, with the new vertices n and n + 1 kept or
+    swapped, maps a move onto a move that gives an isomorphic graph, so one
+    move per orbit is keyed: the images of every keyed move's edge multiset
+    are marked, and a marked move is skipped."""
     if d == 2:
         return [canonical_key(Multigraph((0, 1), [(0, 1)] * 3))]
     keys = set()
     for key in _skeleton_keys(d - 1, cubic):
-        for n, edges in _augmentations(from_canonical_key(key), cubic):
-            keys.add(canonical_key(Multigraph(range(n), edges)))
+        graph = from_canonical_key(key)
+        n = len(graph.vertices)
+        maps = [p + new for p in automorphisms(graph) for new in ((n, n + 1), (n + 1, n))]
+        marked = set()
+        for m, edges in _augmentations(graph, cubic):
+            if _edge_bag(edges) in marked:
+                continue
+            keys.add(canonical_key(Multigraph(range(m), edges)))
+            marked.update(_edge_bag((p[u], p[v]) for u, v in edges) for p in maps)
     return sorted(keys)
+
+
+def _edge_bag(edges) -> tuple:
+    return tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges))
 
 
 def enumerate_skeletons(d: int) -> list[Multigraph]:
@@ -133,7 +148,10 @@ def enumerate_skeletons(d: int) -> list[Multigraph]:
     a cut vertex unless G - e is that cycle, of rank 1.  G comes from H by
     (a) when no end is suppressed, by (b) when one is, and by (c) when
     both are: on two edges, on two parallel copies of one edge, or on one
-    edge twice when the two ends are adjacent in G - e."""
+    edge twice when the two ends are adjacent in G - e.
+
+    A move and its image under an automorphism of H give isomorphic
+    graphs, so of each orbit of moves only the first is keyed."""
     _check_rank(d, 2)
     return [from_canonical_key(k) for k in _skeleton_keys(d, False)]
 
@@ -179,32 +197,36 @@ def build_Rd_quiver(graph: Multigraph, choices) -> Quiver:
         raise InputError(
             f"need one choice per edge ({len(graph.edges)}), got {len(choices)}"
         )
-    bad = [c for c in choices if c not in ("forward", "backward", "sink")]
+    bad = [c for c in choices if c not in _CHOICES]
     if bad:
         raise InputError(f"unknown edge choice {bad[0]!r}")
-    verts = [str(v) for v in graph.vertices]
-    if len(set(verts)) != len(verts):
+    if len({str(v) for v in graph.vertices}) != len(graph.vertices):
         raise InputError("vertex ids must stay distinct as strings")
-    taken = set(verts)
-    new_vertices = list(verts)
-    arrows = []
-    for k, ((u, v), choice) in enumerate(zip(graph.edges, choices)):
-        if u == v:
-            raise InputError("loops cannot be oriented or subdivided")
-        su, sv = str(u), str(v)
-        if choice == "forward":
-            arrows.append(Arrow(f"a{k}", su, sv))
-        elif choice == "backward":
-            arrows.append(Arrow(f"a{k}", sv, su))
-        else:
-            sink = fresh_name(f"s{k}", taken)
-            new_vertices.append(sink)
-            arrows.append(Arrow(f"a{k}", su, sink))
-            arrows.append(Arrow(f"b{k}", sv, sink))
-    built = Quiver(new_vertices, arrows)
+    if not graph.is_loopless():
+        raise InputError("loops cannot be oriented or subdivided")
+    built = _Rd_quiver(graph, [_CHOICES.index(c) for c in choices])
     if not is_acyclic(built):
         raise UnsupportedCase("the chosen orientations close an oriented cycle")
     return built
+
+
+def _Rd_quiver(graph: Multigraph, choice) -> Quiver:
+    """The quiver of build_Rd_quiver, unchecked; choice[k] indexes _CHOICES."""
+    verts = [str(v) for v in graph.vertices]
+    taken = set(verts)
+    arrows = []
+    for k, ((u, v), c) in enumerate(zip(graph.edges, choice)):
+        su, sv = str(u), str(v)
+        if c == 0:
+            arrows.append(Arrow(f"a{k}", su, sv))
+        elif c == 1:
+            arrows.append(Arrow(f"a{k}", sv, su))
+        else:
+            sink = fresh_name(f"s{k}", taken)
+            verts.append(sink)
+            arrows.append(Arrow(f"a{k}", su, sink))
+            arrows.append(Arrow(f"b{k}", sv, sink))
+    return Quiver(verts, arrows)
 
 
 _CHOICES = ("forward", "backward", "sink")
@@ -271,21 +293,28 @@ def enumerate_Rd(d: int) -> list[Quiver]:
     isomorphic quivers exactly when an automorphism of the skeleton moves
     one onto the other, and different skeletons give different quivers, so
     each skeleton contributes the least tuple of every orbit whose
-    orientation is acyclic.  d = 1 is the special one-element case of the
+    orientation is acyclic.  Each such tuple is keyed from its arcs on
+    vertex indices, and only a tuple with a new key is built into a quiver.
+    d = 1 is the special one-element case of the
     two-arrow quiver."""
     _check_rank(d, 1)
     if d == 1:
         return [kronecker_quiver()]
     found: dict = {}
     for graph in enumerate_skeletons(d):
+        n = len(graph.vertices)
         index = {v: i for i, v in enumerate(graph.vertices)}
         ends = [(index[u], index[v]) for u, v in graph.edges]
         for choice in _orbit_minimal_choices(graph):
             arcs = [e if c == 0 else e[::-1] for e, c in zip(ends, choice) if c != 2]
-            if not _is_acyclic_orientation(len(graph.vertices), arcs):
+            if not _is_acyclic_orientation(n, arcs):
                 continue
-            built = build_Rd_quiver(graph, [_CHOICES[c] for c in choice])
-            found.setdefault(quiver_key(built), built)
+            subdivided = [e for e, c in zip(ends, choice) if c == 2]
+            for s, (u, v) in enumerate(subdivided, n):
+                arcs += [(u, s), (v, s)]
+            key = directed_canonical_key(range(n + len(subdivided)), arcs)
+            if key not in found:
+                found[key] = _Rd_quiver(graph, choice)
     return [found[k] for k in sorted(found)]
 
 

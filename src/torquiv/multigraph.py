@@ -7,12 +7,20 @@ parallel edges appear as repeated pairs and a loop is (v, v).
 Canonical forms: vertices are first partitioned by iterated degree
 refinement (an isomorphism invariant), then the adjacency encoding is
 minimized over the orderings compatible with the partition, one vertex
-position at a time: every ordering that ties for the least encoding so far
-is kept, and of each class of twins (vertices whose transposition is an
-automorphism) only the lowest unused one is tried.  The orderings that
-reach the minimum, composed with the twin swaps, give the automorphism
-group.  The test suite checks the keys against a brute-force isomorphism
-oracle and against the plain depth-first minimization.
+position at a time, keeping every state that ties for the least encoding
+so far.  A discrete partition allows one ordering and needs no search.
+Otherwise, of each class of twins (vertices whose transposition is an
+automorphism) only the lowest unused one is tried, and the tied states are
+held in one of two forms that minimize over the same orderings: as ordered
+prefixes, or, when a color class of three or more vertices has no arc
+inside it, as ordered partitions of the placed vertices into cells of
+interchangeable vertices, so that the members of such a class tie as a
+set rather than in all their orders (after the partition cells of McKay
+and Piperno, "Practical graph isomorphism II", J. Symbolic Comput. 2014).
+The orderings that reach the minimum, composed with the twin swaps, give
+the automorphism group.  The test suite checks the keys against a
+brute-force isomorphism oracle, the plain depth-first minimization and the
+prefix search alone.
 """
 
 from __future__ import annotations
@@ -119,13 +127,14 @@ class Multigraph:
 
 def _refine_colors(n: int, colors: list, neighbor_data) -> list:
     """Iterated color refinement; neighbor_data(i, colors) must return a
-    hashable, permutation-invariant signature of vertex i."""
+    hashable, permutation-invariant signature of vertex i.  A discrete
+    coloring is returned at once, as a further round would keep it."""
     while True:
         sigs = [(colors[i], neighbor_data(i, colors)) for i in range(n)]
         rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
+        if new == colors or len(rank) == n:
+            return new
         colors = new
 
 
@@ -160,9 +169,39 @@ def _twins(mult: list, colors: list) -> list:
     return twin
 
 
+def _color_classes(colors: list) -> dict:
+    classes: dict = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    return classes
+
+
+def _slots(colors: list) -> list:
+    """The color class each position of an ordering draws from: the classes
+    in increasing color order, each repeated once per member."""
+    classes = _color_classes(colors)
+    slots: list = []
+    for c in sorted(classes):
+        slots.extend([classes[c]] * len(classes[c]))
+    return slots
+
+
+def _charge(spent: int, level: int) -> None:
+    budget = DEFAULT_MAX_NODES
+    if spent > budget:
+        raise SearchCapExceeded(
+            f"canonical search exceeded {budget} block evaluations",
+            search="canonical_key",
+            level=level,
+            max_nodes=budget,
+        )
+
+
 def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
     """Minimum concatenated encoding over the orderings that list the color
-    classes in increasing color order, with the orderings that reach it.
+    classes in increasing color order, with the orderings that reach it,
+    by the prefix search: the one for colorings whose classes of three or
+    more vertices each carry an arc, where few orderings tie.
 
     extend(prefix, v) must return the block of encoding entries contributed
     by appending vertex v after the vertices in prefix, of a length that
@@ -175,15 +214,10 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
     The block evaluations are added up prefix by prefix and checked against
     DEFAULT_MAX_NODES after each prefix; over it, SearchCapExceeded is
     raised at once, at most n evaluations past the budget."""
-    classes: dict = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    slots: list = []
-    for c in sorted(classes):
-        slots.extend([classes[c]] * len(classes[c]))
+    slots = _slots(colors)
     encoding: list = []
     tied = [()]
-    spent, budget = 0, DEFAULT_MAX_NODES
+    spent = 0
     for k in range(n):
         best = None
         grown = []
@@ -200,16 +234,108 @@ def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
                 elif block == best:
                     grown.append(prefix + (v,))
             spent += len(tried)
-            if spent > budget:
-                raise SearchCapExceeded(
-                    f"canonical search exceeded {budget} block evaluations",
-                    search="canonical_key",
-                    level=k + 1,
-                    max_nodes=budget,
-                )
+            _charge(spent, k + 1)
         encoding.extend(best)
         tied = grown
     return tuple(encoding), tied
+
+
+def _cell_encoding(mult: list, colors: list, twin: list, extend) -> tuple:
+    """The minimum of _min_encoding over the same orderings, with each tied
+    state held as an ordered partition of the placed vertices into cells
+    rather than as one prefix.  mult is the multiplicity matrix that extend
+    reads.
+
+    Every ordering that lists the cells in turn, each in any order, has the
+    state's encoding, because the entries between two placed vertices
+    depend on their cells only and no arc joins two members of a cell.  A
+    candidate v therefore gets its least block from the prefix that sorts
+    every cell by v's (row, column) entries, and the orderings that reach
+    that block are those of the state with every cell split by the entries.
+    v joins the last cell when it has the cell's color, no arc to or from
+    it, and the entries of the cell's members towards every vertex placed
+    before the cell; otherwise it opens a new cell.  Equal states merge, so
+    the members of an arc-free color class tie as sets of placed vertices
+    rather than in all their orders.  Twins are skipped as in _min_encoding,
+    and the members of a final cell are twins, so the first ordering of
+    each final state, composed with the twin swaps, gives every minimizing
+    ordering.  The budget is charged as in _min_encoding."""
+    n = len(mult)
+    transposed = [list(col) for col in zip(*mult)]
+    slots = _slots(colors)
+    encoding: list = []
+    states = [()]
+    spent = 0
+    for k in range(n):
+        best = None
+        grown: dict = {}
+        for cells in states:
+            last = cells[-1] if cells else ()
+            earlier = [u for cell in cells[:-1] for u in cell]
+            placed = set(earlier).union(last)
+            tried = set()
+            for v in slots[k]:
+                if v in placed or twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                row, col = mult[v], transposed[v]
+                split = []
+                for cell in cells:
+                    groups: dict = {}
+                    for u in cell:
+                        groups.setdefault((row[u], col[u]), []).append(u)
+                    split.extend(tuple(groups[e]) for e in sorted(groups))
+                block = extend([u for part in split for u in part], v)
+                if best is not None and block > best:
+                    continue
+                if best is None or block < best:
+                    best = block
+                    grown = {}
+                if (
+                    last
+                    and colors[last[0]] == colors[v]
+                    and not any(row[u] or col[u] for u in last)
+                    and all(
+                        row[u] == mult[last[0]][u] and col[u] == transposed[last[0]][u]
+                        for u in earlier
+                    )
+                ):
+                    grown[cells[:-1] + (tuple(sorted(last + (v,))),)] = None
+                else:
+                    grown[tuple(split) + ((v,),)] = None
+            spent += len(tried)
+            _charge(spent, k + 1)
+        encoding.extend(best)
+        states = list(grown)
+    return tuple(encoding), [tuple(u for cell in cells for u in cell) for cells in states]
+
+
+def _has_open_class(mult: list, colors: list) -> bool:
+    """Does a color class of three or more vertices carry no arc between two
+    of its members?"""
+    return any(
+        len(members) >= 3 and not any(mult[u][w] for u in members for w in members if u != w)
+        for members in _color_classes(colors).values()
+    )
+
+
+def _search(mult: list, colors: list, extend) -> tuple:
+    """(encoding, minimizing orderings, twins) for the refined colors.  A
+    discrete coloring has one ordering and no twins.  An arc-free color
+    class of three or more vertices goes to the cell search, which ties its
+    members in cells; every other coloring goes to the prefix search, which
+    spends less per state when few vertices tie."""
+    n = len(mult)
+    if len(set(colors)) == n:
+        order = sorted(range(n), key=colors.__getitem__)
+        encoding: list = []
+        for k, v in enumerate(order):
+            encoding.extend(extend(order[:k], v))
+        return tuple(encoding), [tuple(order)], list(range(n))
+    twin = _twins(mult, colors)
+    if _has_open_class(mult, colors):
+        return _cell_encoding(mult, colors, twin, extend) + (twin,)
+    return _min_encoding(n, colors, twin, extend) + (twin,)
 
 
 def _undirected_search(graph: Multigraph) -> tuple:
@@ -232,12 +358,11 @@ def _undirected_search(graph: Multigraph) -> tuple:
         lambda i, cols: static[i] + (tuple(sorted([(cols[j], m) for j, m in near[i]])),),
     )
 
-    def extend(prefix: tuple, v: int) -> tuple:
+    def extend(prefix, v: int) -> tuple:
         row = mult[v]
         return (*map(row.__getitem__, prefix), row[v])
 
-    twin = _twins(mult, colors)
-    return _min_encoding(n, colors, twin, extend) + (twin,)
+    return _search(mult, colors, extend)
 
 
 def canonical_key(graph: Multigraph) -> tuple:
@@ -254,7 +379,8 @@ def automorphisms(graph: Multigraph) -> list[tuple]:
     with p[i] the index of the image of graph.vertices[i] (the identity
     comes first).  Every automorphism is a product of twin swaps after the
     map from the first minimizing ordering of the canonical search onto
-    another one."""
+    another one.  The cell search is not shown to reach each automorphism
+    once only, so duplicates are dropped."""
     if not graph.vertices:
         return [()]
     _, orderings, twin = _undirected_search(graph)
@@ -265,10 +391,7 @@ def automorphisms(graph: Multigraph) -> list[tuple]:
         for i, j in zip(base, order):
             perm[i] = j
         found.append(perm)
-    classes: dict = {}
-    for v, t in enumerate(twin):
-        classes.setdefault(t, []).append(v)
-    for members in classes.values():
+    for members in _color_classes(twin).values():
         if len(members) < 2:
             continue
         swaps = []
@@ -278,7 +401,7 @@ def automorphisms(graph: Multigraph) -> list[tuple]:
                 swap[v] = w
             swaps.append(swap)
         found = [[swap[p] for p in perm] for perm in found for swap in swaps]
-    return sorted(tuple(perm) for perm in found)
+    return sorted({tuple(perm) for perm in found})
 
 
 def from_canonical_key(key: tuple) -> Multigraph:
@@ -336,8 +459,8 @@ def directed_canonical_key(vertices, arcs) -> tuple:
         ),
     )
 
-    def extend(prefix: tuple, v: int) -> tuple:
+    def extend(prefix, v: int) -> tuple:
         row, col = mult[v], transposed[v]
         return (*map(row.__getitem__, prefix), *map(col.__getitem__, prefix), row[v])
 
-    return (n,) + _min_encoding(n, colors, _twins(mult, colors), extend)[0]
+    return (n,) + _search(mult, colors, extend)[0]

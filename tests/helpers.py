@@ -724,10 +724,10 @@ def min_encoding_reference(n, colors, extend):
     return best
 
 
-def canonical_key_reference(graph):
+def undirected_search_setup(graph):
+    """(multiplicity matrix, refined colors, block function) of a multigraph,
+    as the library's canonical search sees it."""
     n = len(graph.vertices)
-    if n == 0:
-        return (0,)
     index = {v: i for i, v in enumerate(graph.vertices)}
     mult = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
@@ -744,16 +744,12 @@ def canonical_key_reference(graph):
             tuple(sorted((cols[j], mult[i][j]) for j in range(n) if j != i and mult[i][j])),
         ),
     )
-    return (n,) + min_encoding_reference(
-        n, colors, lambda prefix, v: tuple(mult[v][u] for u in prefix) + (mult[v][v],)
-    )
+    return mult, colors, lambda prefix, v: tuple(mult[v][u] for u in prefix) + (mult[v][v],)
 
 
-def directed_canonical_key_reference(vertices, arcs):
+def directed_search_setup(vertices, arcs):
     verts = list(vertices)
     n = len(verts)
-    if n == 0:
-        return (0,)
     index = {v: i for i, v in enumerate(verts)}
     mult = [[0] * n for _ in range(n)]
     for tail, head in arcs:
@@ -769,13 +765,116 @@ def directed_canonical_key_reference(vertices, arcs):
             tuple(sorted((cols[j], mult[j][i]) for j in range(n) if j != i and mult[j][i])),
         ),
     )
-    return (n,) + min_encoding_reference(
-        n,
+    return (
+        mult,
         colors,
         lambda prefix, v: tuple(mult[v][u] for u in prefix)
         + tuple(mult[u][v] for u in prefix)
         + (mult[v][v],),
     )
+
+
+def canonical_key_reference(graph):
+    n = len(graph.vertices)
+    if n == 0:
+        return (0,)
+    _, colors, extend = undirected_search_setup(graph)
+    return (n,) + min_encoding_reference(n, colors, extend)
+
+
+def directed_canonical_key_reference(vertices, arcs):
+    n = len(vertices)
+    if n == 0:
+        return (0,)
+    _, colors, extend = directed_search_setup(vertices, arcs)
+    return (n,) + min_encoding_reference(n, colors, extend)
+
+
+def _twins_reference(mult, colors):
+    """The lowest twin of every vertex (see multigraph._twins)."""
+    n = len(mult)
+    twin = list(range(n))
+    for v in range(1, n):
+        for u in range(v):
+            if twin[u] != u or colors[u] != colors[v]:
+                continue
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            if all(mult[swap[i]][swap[j]] == mult[i][j] for i in range(n) for j in range(n)):
+                twin[v] = u
+                break
+    return twin
+
+
+def prefix_search_reference(mult, colors, extend):
+    """(encoding, tied orderings, twins, block evaluations) of the prefix
+    level search: every ordering that ties for the least encoding so far is
+    kept position by position, and of each twin class only the lowest
+    unused member is tried."""
+    n = len(mult)
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    slots = []
+    for c in sorted(classes):
+        slots.extend([classes[c]] * len(classes[c]))
+    twin = _twins_reference(mult, colors)
+    encoding, tied, spent = [], [()], 0
+    for k in range(n):
+        best, grown = None, []
+        for prefix in tied:
+            tried = set()
+            for v in slots[k]:
+                if v in prefix or twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                block = extend(prefix, v)
+                if best is None or block < best:
+                    best, grown = block, [prefix + (v,)]
+                elif block == best:
+                    grown.append(prefix + (v,))
+            spent += len(tried)
+        encoding.extend(best)
+        tied = grown
+    return tuple(encoding), tied, twin, spent
+
+
+def prefix_canonical_key_reference(graph):
+    if not graph.vertices:
+        return (0,)
+    return (len(graph.vertices),) + prefix_search_reference(*undirected_search_setup(graph))[0]
+
+
+def prefix_directed_canonical_key_reference(vertices, arcs):
+    if not vertices:
+        return (0,)
+    return (len(vertices),) + prefix_search_reference(*directed_search_setup(vertices, arcs))[0]
+
+
+def prefix_automorphisms_reference(graph):
+    """Every map from the first tied ordering of the prefix search onto
+    another one, composed with every permutation of each twin class."""
+    if not graph.vertices:
+        return [()]
+    _, tied, twin, _ = prefix_search_reference(*undirected_search_setup(graph))
+    found = []
+    for order in tied:
+        perm = [0] * len(order)
+        for i, j in zip(tied[0], order):
+            perm[i] = j
+        found.append(perm)
+    classes = {}
+    for v, t in enumerate(twin):
+        classes.setdefault(t, []).append(v)
+    for members in classes.values():
+        swaps = []
+        for image in itertools.permutations(members):
+            swap = list(range(len(twin)))
+            for v, w in zip(members, image):
+                swap[v] = w
+            swaps.append(swap)
+        found = [[swap[p] for p in perm] for perm in found for swap in swaps]
+    return sorted(tuple(perm) for perm in found)
 
 
 def quiver_key_reference(quiver):
@@ -866,6 +965,22 @@ def skeleton_keys_reference(d, maximal=False):
             if g.is_two_connected():
                 keys.add(canonical_key(g))
     return sorted(keys)
+
+
+def skeleton_growth_reference(top, cubic):
+    """{d: sorted canonical keys} for d = 2..top, grown from the theta graph
+    by keying every move of _augmentations on every member of rank d - 1."""
+    from torquiv import Multigraph, canonical_key, from_canonical_key
+    from torquiv.classify import _augmentations
+
+    lists = {2: [canonical_key(Multigraph((0, 1), [(0, 1)] * 3))]}
+    for d in range(3, top + 1):
+        keys = set()
+        for key in lists[d - 1]:
+            for n, edges in _augmentations(from_canonical_key(key), cubic):
+                keys.add(canonical_key(Multigraph(range(n), edges)))
+        lists[d] = sorted(keys)
+    return lists
 
 
 def contract_edge(graph, index):

@@ -52,6 +52,7 @@ from torquiv.classify import (
     _all_components_strong,
     _orbit_least_compositions,
     _orbit_minimal_choices,
+    _skeleton_keys,
 )
 from torquiv.quiver import components, is_acyclic, is_theta_stable
 
@@ -71,6 +72,7 @@ from helpers import (
     quiver_a,
     random_acyclic,
     random_pair,
+    skeleton_growth_reference,
     skeleton_keys_reference,
     two_cycle,
 )
@@ -179,7 +181,8 @@ def test_rank_five_skeleton_lists_keep_their_digests():
 
 
 def test_skeleton_lists_key_one_graph_per_move(monkeypatch):
-    # the labeled fill keys 614 graphs for the first list and 550 for the second
+    # the labeled fill keys 614 graphs for the first list and 550 for the
+    # second; one move per orbit of the parent's automorphisms is keyed
     import torquiv.classify as classify
 
     keyed = []
@@ -190,9 +193,16 @@ def test_skeleton_lists_key_one_graph_per_move(monkeypatch):
         return real(graph)
 
     monkeypatch.setattr(classify, "canonical_key", counting)
-    assert len(classify.enumerate_skeletons(4)) == 17 and len(keyed) == 116
+    assert len(classify.enumerate_skeletons(4)) == 17 and len(keyed) == 40
     keyed.clear()
-    assert len(classify.enumerate_maximal_skeletons(4)) == 5 and len(keyed) == 36
+    assert len(classify.enumerate_maximal_skeletons(4)) == 5 and len(keyed) == 12
+
+
+def test_orbit_pruned_growth_matches_the_unpruned_growth():
+    for cubic in (False, True):
+        grown = skeleton_growth_reference(5, cubic)
+        for d in (2, 3, 4, 5):
+            assert _skeleton_keys(d, cubic) == grown[d], (d, cubic)
 
 
 def _contraction_maximal(members):
@@ -346,13 +356,13 @@ def test_quiver_list_builds_only_acyclic_orbit_representatives(monkeypatch):
     import torquiv.classify as classify
 
     built = []
-    real = classify.build_Rd_quiver
+    real = classify._Rd_quiver
 
-    def counting(graph, choices):
+    def counting(graph, choice):
         built.append(1)
-        return real(graph, choices)
+        return real(graph, choice)
 
-    monkeypatch.setattr(classify, "build_Rd_quiver", counting)
+    monkeypatch.setattr(classify, "_Rd_quiver", counting)
     assert len(classify.enumerate_Rd(3)) == len(built) == 131
 
 

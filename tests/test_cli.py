@@ -57,6 +57,22 @@ def test_unparseable_json_exit_one(tmp_path, capsys):
     assert json.loads(out)["error"] == "InputError"
 
 
+def test_oversized_integer_exit_one(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": ["u"], "arrows": [], "weight": {"u": ' + "9" * 5000 + "}}")
+    code, out = run_cli(capsys, "vertices", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "InputError"
+
+
+def test_deeply_nested_json_exit_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run_cli(capsys, "vertices", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "InputError"
+
+
 def test_missing_file_exit_one(tmp_path, capsys):
     code, out = run_cli(capsys, "vertices", str(tmp_path / "nope.json"))
     assert code == 1

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import torquiv.multigraph as multigraph
+from torquiv.classify import build_Rd_quiver, enumerate_maximal_skeletons, enumerate_Rd
 from torquiv.errors import SearchCapExceeded
 from torquiv.multigraph import (
     Multigraph,
@@ -15,7 +16,16 @@ from torquiv.multigraph import (
     from_canonical_key,
 )
 
-from helpers import canonical_key_reference, contract_edge, directed_canonical_key_reference
+from helpers import (
+    canonical_key_reference,
+    contract_edge,
+    directed_canonical_key_reference,
+    directed_search_setup,
+    prefix_automorphisms_reference,
+    prefix_canonical_key_reference,
+    prefix_directed_canonical_key_reference,
+    prefix_search_reference,
+)
 
 
 def brute_force_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
@@ -367,3 +377,92 @@ def test_canonical_search_stops_near_the_node_budget(monkeypatch):
     with pytest.raises(SearchCapExceeded):
         directed_canonical_key(*disjoint_directed_triangles(7))
     assert budget < len(evaluations) <= budget + 21
+
+
+# -- the cell search against the prefix search ----------------------------------
+
+
+def sink_subdivided(rng, n, max_pairs):
+    """twinned_pairs with most pairs subdivided by a fresh sink s joined to
+    both ends, so that the sinks form color classes with no arc inside."""
+    verts, pairs = twinned_pairs(rng, n, max_pairs)
+    out = []
+    for k, (u, v) in enumerate(pairs):
+        if rng.random() < 0.7:
+            verts.append(f"s{k}")
+            out += [(u, f"s{k}"), (v, f"s{k}")]
+        else:
+            out.append((u, v))
+    return verts, out
+
+
+def leafed_cycle(k):
+    """A directed k-cycle of doubled arcs with a pendant leaf pointing at
+    each of its vertices.  The leaves, an arc-free class, are placed first,
+    and a cycle vertex tells the leaves apart by arcs from them only."""
+    hubs = [f"h{i}" for i in range(k)]
+    arcs = [(hubs[i], hubs[(i + 1) % k]) for i in range(k)] * 2
+    return hubs + [f"l{i}" for i in range(k)], arcs + [(f"l{i}", hubs[i]) for i in range(k)]
+
+
+def test_cell_search_matches_the_prefix_search():
+    rng = random.Random(97)
+    # a directed triangle beside three isolated vertices: a cycle vertex
+    # must not join the cell of the vertex with an arc into it
+    fixed = [
+        leafed_cycle(3),
+        leafed_cycle(4),
+        (["h0", "h1", "h2", "z0", "z1", "z2"], [("h0", "h1"), ("h1", "h2"), ("h2", "h0")]),
+    ]
+    seeded = [sink_subdivided(rng, rng.randrange(1, 4), 6) for _ in range(120)]
+    cells = 0
+    for verts, pairs in fixed + seeded:
+        g = Multigraph(verts, pairs)
+        assert canonical_key(g) == prefix_canonical_key_reference(g), (verts, pairs)
+        if len(verts) <= 12:  # larger ones can have 10^5 automorphisms
+            assert automorphisms(g) == prefix_automorphisms_reference(g), (verts, pairs)
+        assert directed_canonical_key(verts, pairs) == prefix_directed_canonical_key_reference(
+            verts, pairs
+        ), (verts, pairs)
+        mult, colors, _ = directed_search_setup(verts, pairs)
+        cells += len(set(colors)) < len(verts) and multigraph._has_open_class(mult, colors)
+    assert cells >= 40
+
+
+def test_quiver_list_keys_match_the_prefix_search():
+    for d in (2, 3):
+        for q in enumerate_Rd(d):
+            verts, arcs = q.sorted_vertices(), [(a.tail, a.head) for a in q.arrows]
+            assert directed_canonical_key(verts, arcs) == prefix_directed_canonical_key_reference(
+                verts, arcs
+            )
+            g = Multigraph(verts, arcs)
+            assert automorphisms(g) == prefix_automorphisms_reference(g)
+
+
+def test_all_sink_quivers_take_the_cell_search(monkeypatch):
+    # every edge of a rank-3 cubic skeleton subdivided by a sink: the six
+    # sinks form one color class with no arc inside, which the prefix
+    # search ties in up to 6! orderings
+    evaluations = []
+    cell_encoding = multigraph._cell_encoding
+
+    def counting(mult, colors, twin, extend):
+        def counted(prefix, v):
+            evaluations.append(v)
+            return extend(prefix, v)
+
+        return cell_encoding(mult, colors, twin, counted)
+
+    monkeypatch.setattr(multigraph, "_cell_encoding", counting)
+    counts = []
+    for g in enumerate_maximal_skeletons(3):
+        q = build_Rd_quiver(g, ["sink"] * len(g.edges))
+        verts, arcs = q.sorted_vertices(), [(a.tail, a.head) for a in q.arrows]
+        evaluations.clear()
+        assert directed_canonical_key(verts, arcs) == prefix_directed_canonical_key_reference(
+            verts, arcs
+        )
+        prefix_evaluations = prefix_search_reference(*directed_search_setup(verts, arcs))[3]
+        counts.append((len(evaluations), prefix_evaluations))
+    assert counts == [(112, 1362), (256, 5388)]
