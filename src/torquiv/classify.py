@@ -197,36 +197,32 @@ def build_Rd_quiver(graph: Multigraph, choices) -> Quiver:
         raise InputError(
             f"need one choice per edge ({len(graph.edges)}), got {len(choices)}"
         )
-    bad = [c for c in choices if c not in _CHOICES]
+    bad = [c for c in choices if c not in ("forward", "backward", "sink")]
     if bad:
         raise InputError(f"unknown edge choice {bad[0]!r}")
-    if len({str(v) for v in graph.vertices}) != len(graph.vertices):
-        raise InputError("vertex ids must stay distinct as strings")
-    if not graph.is_loopless():
-        raise InputError("loops cannot be oriented or subdivided")
-    built = _Rd_quiver(graph, [_CHOICES.index(c) for c in choices])
-    if not is_acyclic(built):
-        raise UnsupportedCase("the chosen orientations close an oriented cycle")
-    return built
-
-
-def _Rd_quiver(graph: Multigraph, choice) -> Quiver:
-    """The quiver of build_Rd_quiver, unchecked; choice[k] indexes _CHOICES."""
     verts = [str(v) for v in graph.vertices]
+    if len(set(verts)) != len(verts):
+        raise InputError("vertex ids must stay distinct as strings")
     taken = set(verts)
+    new_vertices = list(verts)
     arrows = []
-    for k, ((u, v), c) in enumerate(zip(graph.edges, choice)):
+    for k, ((u, v), choice) in enumerate(zip(graph.edges, choices)):
+        if u == v:
+            raise InputError("loops cannot be oriented or subdivided")
         su, sv = str(u), str(v)
-        if c == 0:
+        if choice == "forward":
             arrows.append(Arrow(f"a{k}", su, sv))
-        elif c == 1:
+        elif choice == "backward":
             arrows.append(Arrow(f"a{k}", sv, su))
         else:
             sink = fresh_name(f"s{k}", taken)
-            verts.append(sink)
+            new_vertices.append(sink)
             arrows.append(Arrow(f"a{k}", su, sink))
             arrows.append(Arrow(f"b{k}", sv, sink))
-    return Quiver(verts, arrows)
+    built = Quiver(new_vertices, arrows)
+    if not is_acyclic(built):
+        raise UnsupportedCase("the chosen orientations close an oriented cycle")
+    return built
 
 
 _CHOICES = ("forward", "backward", "sink")
@@ -295,8 +291,7 @@ def enumerate_Rd(d: int) -> list[Quiver]:
     each skeleton contributes the least tuple of every orbit whose
     orientation is acyclic.  Each such tuple is keyed from its arcs on
     vertex indices, and only a tuple with a new key is built into a quiver.
-    d = 1 is the special one-element case of the
-    two-arrow quiver."""
+    d = 1 is the special one-element case of the two-arrow quiver."""
     _check_rank(d, 1)
     if d == 1:
         return [kronecker_quiver()]
@@ -314,7 +309,7 @@ def enumerate_Rd(d: int) -> list[Quiver]:
                 arcs += [(u, s), (v, s)]
             key = directed_canonical_key(range(n + len(subdivided)), arcs)
             if key not in found:
-                found[key] = _Rd_quiver(graph, choice)
+                found[key] = build_Rd_quiver(graph, [_CHOICES[c] for c in choice])
     return [found[k] for k in sorted(found)]
 
 

@@ -88,7 +88,7 @@ def _load_file(path: str) -> tuple[dict, str]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer past Python's int-string digit limit
+    except ValueError as exc:  # invalid UTF-8, or an integer past the int-string digit limit
         raise InputError(f"{path} cannot be read: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests its JSON too deeply to read") from None

@@ -356,13 +356,13 @@ def test_quiver_list_builds_only_acyclic_orbit_representatives(monkeypatch):
     import torquiv.classify as classify
 
     built = []
-    real = classify._Rd_quiver
+    real = classify.build_Rd_quiver
 
-    def counting(graph, choice):
+    def counting(graph, choices):
         built.append(1)
-        return real(graph, choice)
+        return real(graph, choices)
 
-    monkeypatch.setattr(classify, "_Rd_quiver", counting)
+    monkeypatch.setattr(classify, "build_Rd_quiver", counting)
     assert len(classify.enumerate_Rd(3)) == len(built) == 131
 
 

@@ -57,17 +57,18 @@ def test_unparseable_json_exit_one(tmp_path, capsys):
     assert json.loads(out)["error"] == "InputError"
 
 
-def test_oversized_integer_exit_one(tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    path.write_text('{"vertices": ["u"], "arrows": [], "weight": {"u": ' + "9" * 5000 + "}}")
-    code, out = run_cli(capsys, "vertices", str(path))
-    assert code == 1
-    assert json.loads(out)["error"] == "InputError"
-
-
-def test_deeply_nested_json_exit_one(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"vertices": ["u"], "arrows": [], "weight": {"u": ' + b"9" * 5000 + b"}}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"vertices": ["\xe9"], "arrows": []}',
+    ],
+    ids=["oversized-integer", "deeply-nested", "invalid-utf8"],
+)
+def test_undecodable_json_exit_one(tmp_path, capsys, raw):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
     code, out = run_cli(capsys, "vertices", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "InputError"

@@ -379,6 +379,34 @@ def test_canonical_search_stops_near_the_node_budget(monkeypatch):
     assert budget < len(evaluations) <= budget + 21
 
 
+def test_cell_search_stops_near_the_node_budget(monkeypatch):
+    # three isolated vertices form an arc-free class, so seven triangles
+    # beside them take the cell search, where the triangles tie as they do
+    # in the prefix search; it must stop within n = 24 evaluations past it
+    budget = 20_000
+    evaluations = []
+    cell_encoding = multigraph._cell_encoding
+
+    def counting(mult, colors, twin, extend):
+        def counted(prefix, v):
+            evaluations.append(v)
+            assert len(evaluations) <= budget + 24
+            return extend(prefix, v)
+
+        return cell_encoding(mult, colors, twin, counted)
+
+    def no_prefix_search(*args):
+        raise AssertionError("took the prefix search")
+
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", budget)
+    monkeypatch.setattr(multigraph, "_cell_encoding", counting)
+    monkeypatch.setattr(multigraph, "_min_encoding", no_prefix_search)
+    verts, arcs = disjoint_directed_triangles(7)
+    with pytest.raises(SearchCapExceeded):
+        directed_canonical_key(verts + ["z0", "z1", "z2"], arcs)
+    assert budget < len(evaluations)
+
+
 # -- the cell search against the prefix search ----------------------------------
 
 
