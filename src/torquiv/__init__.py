@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .quiver import (
     Arrow,
     Quiver,
@@ -79,69 +81,9 @@ from .ideal import (
     osm_lattice_points,
 )
 
-__all__ = [
-    "Arrow",
-    "BinomialGen",
-    "BoundedFlowSpec",
-    "DegreeViolation",
-    "DivisorGraph",
-    "Fan2D",
-    "GradedSemigroup",
-    "Multigraph",
-    "Quiver",
-    "REFERENCE_FANS",
-    "ReductionTrace",
-    "affine_relation_degree",
-    "are_isomorphic",
-    "bounded_lattice_points",
-    "build_Rd_quiver",
-    "canonical_key",
-    "canonical_weight",
-    "certify_degree_bound",
-    "check_normality",
-    "classify_2d",
-    "codegree",
-    "collapse_parallel",
-    "components",
-    "contract",
-    "dimension",
-    "directed_canonical_key",
-    "divisor_graph",
-    "double_quiver",
-    "enumerate_Rd",
-    "enumerate_affine_Rdd",
-    "enumerate_maximal_skeletons",
-    "enumerate_skeletons",
-    "euler_characteristic",
-    "facet_arrows",
-    "from_canonical_key",
-    "in_rd_form",
-    "is_contractible",
-    "is_prime",
-    "is_removable",
-    "is_strongly_connected",
-    "is_theta_stable",
-    "is_tight",
-    "kronecker_quiver",
-    "lattice_points",
-    "lift_generators",
-    "loop_quiver",
-    "minimal_generators",
-    "normal_fan_2d",
-    "normalize_to_Rd",
-    "osm_certify_degree3",
-    "osm_lattice_points",
-    "prime_decompose",
-    "primitive_cycles",
-    "quiver_from_dict",
-    "quiver_key",
-    "realize_Rprime",
-    "recession_hilbert_basis",
-    "reflect",
-    "skeleton",
-    "surface_name",
-    "tighten",
-    "to_quiver_polytope",
-    "vertex_localization",
-    "vertices",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

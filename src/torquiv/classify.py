@@ -21,7 +21,8 @@ Four interlocking pieces:
   counts in every dilation degree.
 
 Everything is exact integer arithmetic; enumerations are capped at cycle
-rank 5, where the search spaces are still desk-sized.
+rank 5, where the search spaces are still desk-sized, and the acyclic
+quiver list at rank 4, as its rank-5 list would not fit in memory.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ from .reductions import in_rd_form, is_prime, is_tight, skeleton, tighten
 MAX_RANK = 5
 
 
-def _check_rank(d, low: int) -> None:
+def _check_rank(d, low: int, high: int = MAX_RANK) -> None:
     if not isinstance(d, int) or isinstance(d, bool):
         raise InputError("the cycle rank d must be an integer")
-    if d < low or d > MAX_RANK:
-        raise InputError(f"the cycle rank d must lie between {low} and {MAX_RANK}")
+    if d < low or d > high:
+        raise InputError(f"the cycle rank d must lie between {low} and {high}")
 
 
 # -- skeleton graph lists ------------------------------------------------------
@@ -162,7 +163,7 @@ def enumerate_maximal_skeletons(d: int) -> list[Multigraph]:
     (2d-2 vertices, 3d-3 edges), and the tests check that characterization.
     In a 3-regular member both ends of the last ear's edge are suppressed,
     giving a 3-regular member of rank d - 1, so the list grows from the
-    theta graph by move (c) alone."""
+    theta graph by move (c) alone.  Supported for 2 <= d <= 5."""
     _check_rank(d, 2)
     return [from_canonical_key(k) for k in _skeleton_keys(d, True)]
 
@@ -181,7 +182,10 @@ def loop_quiver() -> Quiver:
 
 
 def quiver_key(quiver: Quiver) -> tuple:
-    """Isomorphism-invariant canonical key of a quiver (arrow ids ignored)."""
+    """Isomorphism-invariant canonical key of a quiver (arrow ids ignored):
+    the directed_canonical_key of its vertices and arcs.  Like that key it
+    is exponential by its definition, so on a large regular quiver it can
+    end in SearchCapExceeded; the members of the lists are far below that."""
     return directed_canonical_key(
         quiver.sorted_vertices(), [(a.tail, a.head) for a in quiver.arrows]
     )
@@ -291,8 +295,12 @@ def enumerate_Rd(d: int) -> list[Quiver]:
     each skeleton contributes the least tuple of every orbit whose
     orientation is acyclic.  Each such tuple is keyed from its arcs on
     vertex indices, and only a tuple with a new key is built into a quiver.
-    d = 1 is the special one-element case of the two-arrow quiver."""
-    _check_rank(d, 1)
+    d = 1 is the special one-element case of the two-arrow quiver.
+
+    Supported for 1 <= d <= 4.  Rank 5 is refused at once: its 118
+    skeletons would give an estimated 1.4 million members, some 7-10 GB at
+    the 5.5 KB that a rank-4 member holds."""
+    _check_rank(d, 1, 4)
     if d == 1:
         return [kronecker_quiver()]
     found: dict = {}

@@ -41,6 +41,8 @@ from .ideal import (
     GradedSemigroup,
     affine_relation_degree,
     certify_degree_bound,
+    check_degree_bound,
+    check_max_degree,
     minimal_generators,
     osm_certify_degree3,
     osm_lattice_points,
@@ -243,6 +245,7 @@ def _cmd_localize(args):
 def _cmd_ideal_gens(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
+    check_max_degree(args.max_degree)
     semigroup = GradedSemigroup(quiver, weight, args.max_nodes)
     gens = minimal_generators(semigroup, args.max_degree)
     order = semigroup.arrow_ids
@@ -270,6 +273,7 @@ def _cmd_ideal_gens(args):
 def _cmd_certify(args):
     quiver, weight, digest = _load_pair(args.file)
     weight = _required_weight(weight, args.file)
+    check_degree_bound(args.bound, args.horizon)
     semigroup = GradedSemigroup(quiver, weight, args.max_nodes)
     verdict, violation = certify_degree_bound(semigroup, args.bound, args.horizon)
     witnesses = None
@@ -381,13 +385,24 @@ def _cmd_corpus_regen(args):
 # -- parser ---------------------------------------------------------------------
 
 
+def _node_cap(text: str) -> int:
+    """A --max-nodes value: an integer of at least 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built on the first call and reused for the process."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--max-nodes",
-        type=int,
+        type=_node_cap,
         default=DEFAULT_MAX_NODES,
         help="search node cap for enumerations (default 10^7)",
     )

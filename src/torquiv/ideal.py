@@ -310,6 +310,22 @@ def _disconnected(semigroup: GradedSemigroup, k: int):
             yield target, components
 
 
+def check_max_degree(max_degree: int) -> None:
+    """Refuse a minimal_generators degree below 2, where no generator lies;
+    the command line calls it before it builds the semigroup."""
+    if max_degree < 2:
+        raise InputError("max_degree must be at least 2")
+
+
+def check_degree_bound(bound: int, horizon: int | None) -> None:
+    """Refuse a certify_degree_bound bound or horizon below 1; the command
+    line calls it before it builds the semigroup."""
+    if bound < 1:
+        raise InputError("bound must be positive")
+    if horizon is not None and horizon < 1:
+        raise InputError("horizon must be positive")
+
+
 def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     """Minimal binomial generating system up to the given degree.
 
@@ -324,8 +340,7 @@ def minimal_generators(semigroup: GradedSemigroup, max_degree: int) -> list:
     hold no split element, so the scan stops there when that is below
     `max_degree`.
     """
-    if max_degree < 2:
-        raise InputError("max_degree must be at least 2")
+    check_max_degree(max_degree)
     out = []
     if not semigroup.generators:
         return out
@@ -353,10 +368,7 @@ def certify_degree_bound(semigroup: GradedSemigroup, bound: int, horizon: int | 
     vacuously.  Returns (True, None) or (False, first violation).  Each
     element is screened by the packed test of `_disconnected`.
     """
-    if bound < 1:
-        raise InputError("bound must be positive")
-    if horizon is not None and horizon < 1:
-        raise InputError("horizon must be positive")
+    check_degree_bound(bound, horizon)
     if not semigroup.generators:
         return True, None
     if horizon is None:
@@ -519,6 +531,7 @@ def osm_certify_degree3(
     Scans degrees in (3, horizon]; the default horizon is d + 2 - codeg of
     the matching polytope, and an empty one leaves nothing to scan.
     """
+    check_degree_bound(3, horizon)
     semigroup = GradedSemigroup(*_matching_polytope(quiver), max_nodes)
     return certify_degree_bound(semigroup, 3, horizon)[0]
 

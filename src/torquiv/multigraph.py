@@ -5,22 +5,20 @@ vertex tuple plus a tuple of normalized edge pairs (u, v) with u <= v;
 parallel edges appear as repeated pairs and a loop is (v, v).
 
 Canonical forms: vertices are first partitioned by iterated degree
-refinement (an isomorphism invariant), then the adjacency encoding is
-minimized over the orderings compatible with the partition, one vertex
-position at a time, keeping every state that ties for the least encoding
-so far.  A discrete partition allows one ordering and needs no search.
-Otherwise, of each class of twins (vertices whose transposition is an
-automorphism) only the lowest unused one is tried, and the tied states are
-held in one of two forms that minimize over the same orderings: as ordered
-prefixes, or, when a color class of three or more vertices has no arc
-inside it, as ordered partitions of the placed vertices into cells of
-interchangeable vertices, so that the members of such a class tie as a
-set rather than in all their orders (after the partition cells of McKay
-and Piperno, "Practical graph isomorphism II", J. Symbolic Comput. 2014).
-The orderings that reach the minimum, composed with the twin swaps, give
-the automorphism group.  The test suite checks the keys against a
-brute-force isomorphism oracle, the plain depth-first minimization and the
-prefix search alone.
+refinement (an isomorphism invariant), then one level search (`_search`)
+minimizes the adjacency encoding over the orderings compatible with the
+partition, holding the tied states as ordered partitions into cells of
+interchangeable vertices (after McKay and Piperno, "Practical graph
+isomorphism II", J. Symbolic Comput. 2014).  The minimizing orderings,
+composed with the twin swaps, give the automorphism group.  The tests check
+the keys against brute force, the depth-first minimization and the prefix
+search without cells.
+
+The key is exponential by its definition: a vertex's block is all zero
+exactly when it has no loop and no arc to the vertices before it, so the
+key opens with as many zero blocks as the independence number of a
+loopless first color class, NP-hard already on cubic graphs.  On large
+regular graphs the search cap stays the answer.
 """
 
 from __future__ import annotations
@@ -143,199 +141,155 @@ def _neighbors(mult: list) -> list:
     return [[(j, m) for j, m in enumerate(row) if m and j != i] for i, row in enumerate(mult)]
 
 
-def _twins(mult: list, colors: list) -> list:
+def _twins(mult: list, classes: list) -> list:
     """The lowest twin of every vertex: u and v are twins when they share a
-    color and swapping them maps the multiplicity matrix onto itself.
+    color class and swapping them maps the multiplicity matrix onto itself.
     Transpositions that are automorphisms compose to automorphisms, so
     twinship is an equivalence and each vertex is compared with the lowest
     member of every earlier class only."""
     n = len(mult)
     twin = list(range(n))
-    for v in range(1, n):
-        row_v = mult[v]
-        for u in range(v):
-            if twin[u] != u or colors[u] != colors[v]:
-                continue
-            row_u = mult[u]
-            if row_u[u] != row_v[v] or row_u[v] != row_v[u]:
-                continue
-            if all(
-                row_u[w] == row_v[w] and mult[w][u] == mult[w][v]
-                for w in range(n)
-                if w != u and w != v
-            ):
-                twin[v] = u
-                break
+    for members in classes:
+        for i, v in enumerate(members):
+            row_v = mult[v]
+            for u in members[:i]:
+                if twin[u] != u:
+                    continue
+                row_u = mult[u]
+                if row_u[u] != row_v[v] or row_u[v] != row_v[u]:
+                    continue
+                if all(
+                    row_u[w] == row_v[w] and mult[w][u] == mult[w][v]
+                    for w in range(n)
+                    if w != u and w != v
+                ):
+                    twin[v] = u
+                    break
     return twin
 
 
-def _color_classes(colors: list) -> dict:
+def _color_classes(colors: list) -> list:
+    """The vertices of each color, in increasing color order."""
     classes: dict = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
-    return classes
+    return [classes[c] for c in sorted(classes)]
 
 
-def _slots(colors: list) -> list:
-    """The color class each position of an ordering draws from: the classes
-    in increasing color order, each repeated once per member."""
-    classes = _color_classes(colors)
-    slots: list = []
-    for c in sorted(classes):
-        slots.extend([classes[c]] * len(classes[c]))
-    return slots
+def _search(mult: list, entries, colors: list, extend) -> tuple:
+    """(encoding, minimizing orderings, twins) for the refined colors: the
+    least encoding over the orderings that list the color classes in
+    increasing color order.  extend(prefix, v) is v's block after prefix:
+    sections of one entry per prefix vertex, then v's loop count, with 0
+    for no arc; entries(v)[u] sorts as v's (row, column) entries to u.  Every
+    prefix can be completed, so each level keeps every state that ties for
+    the least block.
 
+    A state is an ordered partition of the placed vertices into sorted
+    cells: its flat ordering and the (start, stop) of the cells that may
+    still split (two or more members, not all twins).  Members of a cell
+    have no arc between them and equal entries to every other placed
+    vertex, so a candidate sorts those cells by its (row, column) entries
+    for its least block, and the cells are then cut between entries.  In a
+    class of three or more (in smaller ones a cell costs more to split than
+    the order it saves), v joins the last cell when it has no arc to it and
+    the cell's entries before it: when its block is the previous least
+    block with a 0 added to each section.  So one test decides for every
+    tied state, all last cells start at the last opening, and equal states
+    merge.  A twin of a candidate tried in a state is skipped, and the
+    members of a final cell are twins, so the first ordering of each final
+    state with the twin swaps gives every minimizing ordering.
 
-def _charge(spent: int, level: int) -> None:
-    budget = DEFAULT_MAX_NODES
-    if spent > budget:
-        raise SearchCapExceeded(
-            f"canonical search exceeded {budget} block evaluations",
-            search="canonical_key",
-            level=level,
-            max_nodes=budget,
-        )
-
-
-def _min_encoding(n: int, colors: list, twin: list, extend) -> tuple:
-    """Minimum concatenated encoding over the orderings that list the color
-    classes in increasing color order, with the orderings that reach it,
-    by the prefix search: the one for colorings whose classes of three or
-    more vertices each carry an arc, where few orderings tie.
-
-    extend(prefix, v) must return the block of encoding entries contributed
-    by appending vertex v after the vertices in prefix, of a length that
-    depends on len(prefix) only.  Every prefix can be completed, so the
-    least encoding has the least block at every position: the search keeps
-    all tied prefixes position by position.  A twin of a vertex already
-    tried at a prefix is skipped, as swapping the two is an automorphism
-    that fixes the prefix.
-
-    The block evaluations are added up prefix by prefix and checked against
-    DEFAULT_MAX_NODES after each prefix; over it, SearchCapExceeded is
-    raised at once, at most n evaluations past the budget."""
-    slots = _slots(colors)
-    encoding: list = []
-    tied = [()]
-    spent = 0
-    for k in range(n):
-        best = None
-        grown = []
-        for prefix in tied:
-            tried = set()
-            for v in slots[k]:
-                if v in prefix or twin[v] in tried:
-                    continue
-                tried.add(twin[v])
-                block = extend(prefix, v)
-                if best is None or block < best:
-                    best = block
-                    grown = [prefix + (v,)]
-                elif block == best:
-                    grown.append(prefix + (v,))
-            spent += len(tried)
-            _charge(spent, k + 1)
-        encoding.extend(best)
-        tied = grown
-    return tuple(encoding), tied
-
-
-def _cell_encoding(mult: list, colors: list, twin: list, extend) -> tuple:
-    """The minimum of _min_encoding over the same orderings, with each tied
-    state held as an ordered partition of the placed vertices into cells
-    rather than as one prefix.  mult is the multiplicity matrix that extend
-    reads.
-
-    Every ordering that lists the cells in turn, each in any order, has the
-    state's encoding, because the entries between two placed vertices
-    depend on their cells only and no arc joins two members of a cell.  A
-    candidate v therefore gets its least block from the prefix that sorts
-    every cell by v's (row, column) entries, and the orderings that reach
-    that block are those of the state with every cell split by the entries.
-    v joins the last cell when it has the cell's color, no arc to or from
-    it, and the entries of the cell's members towards every vertex placed
-    before the cell; otherwise it opens a new cell.  Equal states merge, so
-    the members of an arc-free color class tie as sets of placed vertices
-    rather than in all their orders.  Twins are skipped as in _min_encoding,
-    and the members of a final cell are twins, so the first ordering of
-    each final state, composed with the twin swaps, gives every minimizing
-    ordering.  The budget is charged as in _min_encoding."""
-    n = len(mult)
-    transposed = [list(col) for col in zip(*mult)]
-    slots = _slots(colors)
-    encoding: list = []
-    states = [()]
-    spent = 0
-    for k in range(n):
-        best = None
-        grown: dict = {}
-        for cells in states:
-            last = cells[-1] if cells else ()
-            earlier = [u for cell in cells[:-1] for u in cell]
-            placed = set(earlier).union(last)
-            tried = set()
-            for v in slots[k]:
-                if v in placed or twin[v] in tried:
-                    continue
-                tried.add(twin[v])
-                row, col = mult[v], transposed[v]
-                split = []
-                for cell in cells:
-                    groups: dict = {}
-                    for u in cell:
-                        groups.setdefault((row[u], col[u]), []).append(u)
-                    split.extend(tuple(groups[e]) for e in sorted(groups))
-                block = extend([u for part in split for u in part], v)
-                if best is not None and block > best:
-                    continue
-                if best is None or block < best:
-                    best = block
-                    grown = {}
-                if (
-                    last
-                    and colors[last[0]] == colors[v]
-                    and not any(row[u] or col[u] for u in last)
-                    and all(
-                        row[u] == mult[last[0]][u] and col[u] == transposed[last[0]][u]
-                        for u in earlier
-                    )
-                ):
-                    grown[cells[:-1] + (tuple(sorted(last + (v,))),)] = None
-                else:
-                    grown[tuple(split) + ((v,),)] = None
-            spent += len(tried)
-            _charge(spent, k + 1)
-        encoding.extend(best)
-        states = list(grown)
-    return tuple(encoding), [tuple(u for cell in cells for u in cell) for cells in states]
-
-
-def _has_open_class(mult: list, colors: list) -> bool:
-    """Does a color class of three or more vertices carry no arc between two
-    of its members?"""
-    return any(
-        len(members) >= 3 and not any(mult[u][w] for u in members for w in members if u != w)
-        for members in _color_classes(colors).values()
-    )
-
-
-def _search(mult: list, colors: list, extend) -> tuple:
-    """(encoding, minimizing orderings, twins) for the refined colors.  A
-    discrete coloring has one ordering and no twins.  An arc-free color
-    class of three or more vertices goes to the cell search, which ties its
-    members in cells; every other coloring goes to the prefix search, which
-    spends less per state when few vertices tie."""
+    The evaluations are checked against DEFAULT_MAX_NODES after each state,
+    so SearchCapExceeded comes at most n past it.  A discrete coloring is
+    encoded directly: the level loop costs a fifth more on those keys."""
     n = len(mult)
     if len(set(colors)) == n:
         order = sorted(range(n), key=colors.__getitem__)
-        encoding: list = []
+        encoding = []
         for k, v in enumerate(order):
             encoding.extend(extend(order[:k], v))
         return tuple(encoding), [tuple(order)], list(range(n))
-    twin = _twins(mult, colors)
-    if _has_open_class(mult, colors):
-        return _cell_encoding(mult, colors, twin, extend) + (twin,)
-    return _min_encoding(n, colors, twin, extend) + (twin,)
+    classes = _color_classes(colors)
+    twin = _twins(mult, classes)
+    # the class each position of an ordering draws from
+    slots = [members for members in classes for _ in members]
+    budget = DEFAULT_MAX_NODES
+    encoding = []
+    states = [((), ())]
+    start = spent = 0  # the last cell begins at position start in every state
+    for k in range(n):
+        best = None
+        coarse = False
+        for order, wide in states:
+            tried = set()
+            for v in slots[k]:
+                if v in order or twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                placed = order
+                if wide:
+                    coarse, placed, key = True, list(order), entries(v).__getitem__
+                    for a, b in wide:
+                        placed[a:b] = sorted(order[a:b], key=key)
+                    placed = tuple(placed)
+                block = extend(placed, v)
+                if best is None or block < best:
+                    best = block
+                    tied = [(placed + (v,), wide)]
+                elif block == best:
+                    tied.append((placed + (v,), wide))
+            spent += len(tried)
+            if spent > budget:
+                raise SearchCapExceeded(
+                    f"canonical search exceeded {budget} block evaluations",
+                    search="canonical_key",
+                    level=k + 1,
+                    max_nodes=budget,
+                )
+        encoding.extend(best)
+        joins = False
+        if k and slots[k] is slots[k - 1] and len(slots[k]) > 2:
+            # the previous least block with a zero towards the vertex placed last
+            sections, m = (len(best) - 1) // k, k - 1
+            joining = sum((last[i * m : i * m + m] + (0,) for i in range(sections)), ())
+            joins = best == joining + last[sections * m :]
+        last = best
+        if joins:
+            states = []
+            for order, wide in tied:
+                cell = sorted(order[start:])
+                if wide and wide[-1][0] == start:
+                    wide = wide[:-1]
+                if any(twin[u] != twin[cell[0]] for u in cell):
+                    wide += ((start, k + 1),)
+                states.append((order[:start] + tuple(cell), wide))
+            states = list(dict.fromkeys(states))
+        elif coarse:
+            start, states = k, []
+            for order, wide in tied:
+                if wide:
+                    wide = _split_cells(order, wide, entries(order[-1]).__getitem__, twin)
+                states.append((order, wide))
+            states = list(dict.fromkeys(states))
+        else:
+            start, states = k, tied
+    return tuple(encoding), [order for order, _ in states], twin
+
+
+def _split_cells(split, wide: tuple, key, twin: list) -> tuple:
+    """The cells that may still split when every cell of wide, sorted by key
+    in split, is cut between members of different keys: those of two or
+    more members that are not all twins."""
+    cells = []
+    for a, b in wide:
+        run = a
+        for i in range(a + 1, b + 1):
+            if i == b or key(split[i]) != key(split[run]):
+                if any(twin[u] != twin[split[run]] for u in split[run + 1 : i]):
+                    cells.append((run, i))
+                run = i
+    return tuple(cells)
 
 
 def _undirected_search(graph: Multigraph) -> tuple:
@@ -362,13 +316,18 @@ def _undirected_search(graph: Multigraph) -> tuple:
         row = mult[v]
         return (*map(row.__getitem__, prefix), row[v])
 
-    return _search(mult, colors, extend)
+    return _search(mult, mult.__getitem__, colors, extend)
 
 
 def canonical_key(graph: Multigraph) -> tuple:
     """Canonical form of a multigraph: (n,) followed by the minimized
     adjacency encoding, where vertex k contributes its multiplicities
-    towards the previously listed vertices and then its loop count."""
+    towards the previously listed vertices and then its loop count.
+
+    The key is exponential by its definition (its leading zero blocks count
+    the independence number of the first color class), so a large regular
+    graph can end in SearchCapExceeded; the lists' skeletons, of at most 8
+    vertices, are far below that."""
     if not graph.vertices:
         return (0,)
     return (len(graph.vertices),) + _undirected_search(graph)[0]
@@ -379,8 +338,8 @@ def automorphisms(graph: Multigraph) -> list[tuple]:
     with p[i] the index of the image of graph.vertices[i] (the identity
     comes first).  Every automorphism is a product of twin swaps after the
     map from the first minimizing ordering of the canonical search onto
-    another one.  The cell search is not shown to reach each automorphism
-    once only, so duplicates are dropped."""
+    another one.  The search is not shown to reach each automorphism once
+    only, so duplicates are dropped."""
     if not graph.vertices:
         return [()]
     _, orderings, twin = _undirected_search(graph)
@@ -391,7 +350,7 @@ def automorphisms(graph: Multigraph) -> list[tuple]:
         for i, j in zip(base, order):
             perm[i] = j
         found.append(perm)
-    for members in _color_classes(twin).values():
+    for members in _color_classes(twin):
         if len(members) < 2:
             continue
         swaps = []
@@ -432,7 +391,8 @@ def directed_canonical_key(vertices, arcs) -> tuple:
 
     The encoding lists, for each vertex in the minimizing order, its arc
     multiplicities towards the previously listed vertices, then from them,
-    then its loop count."""
+    then its loop count.  Like canonical_key, it is exponential by its
+    definition, so a large regular digraph can end in SearchCapExceeded."""
     verts = list(vertices)
     n = len(verts)
     if len(set(verts)) != n:
@@ -463,4 +423,4 @@ def directed_canonical_key(vertices, arcs) -> tuple:
         row, col = mult[v], transposed[v]
         return (*map(row.__getitem__, prefix), *map(col.__getitem__, prefix), row[v])
 
-    return (n,) + _search(mult, colors, extend)[0]
+    return (n,) + _search(mult, lambda v: list(zip(mult[v], transposed[v])), colors, extend)[0]

@@ -251,6 +251,19 @@ def test_rank_caps_rejected():
             enumerate_affine_Rdd(bad)
 
 
+def test_rank_five_quiver_list_is_refused_at_once(monkeypatch):
+    # its estimated 1.4 million members would need 7-10 GB of memory; the
+    # refusal comes before any skeleton is listed
+    import torquiv.classify as classify
+
+    def no_skeletons(d):
+        raise AssertionError("listed the skeletons")
+
+    monkeypatch.setattr(classify, "enumerate_skeletons", no_skeletons)
+    with pytest.raises(InputError, match="between 1 and 4"):
+        classify.enumerate_Rd(5)
+
+
 # -- quivers built on skeletons ------------------------------------------------
 
 

@@ -291,6 +291,37 @@ def test_zero_horizon_is_rejected_before_an_empty_semigroup_certifies(tmp_path, 
         assert code == 0 and json.loads(out)["verdict"] is True, argv
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_node_caps_below_one_are_usage_errors(tmp_path, capsys, cap):
+    path = write_pair(tmp_path / "kronecker.json", *kronecker())
+    code, out = run_cli(capsys, "vertices", path, "--max-nodes", cap)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InputError",
+        "message": f"argument --max-nodes: must be at least 1, got {cap}",
+    }
+
+
+def test_arguments_are_checked_before_the_semigroup_is_built(tmp_path, capsys, monkeypatch):
+    # a cyclic pair ends in unsupported-case (not-bipartite for osm) once
+    # the semigroup is built; a refused argument answers first, at exit 1
+    def no_semigroup(*_args):
+        raise AssertionError("built the semigroup")
+
+    monkeypatch.setattr(torquiv.cli, "GradedSemigroup", no_semigroup)
+    monkeypatch.setattr(torquiv.ideal, "GradedSemigroup", no_semigroup)
+    path = write_pair(tmp_path / "cyclic.json", *two_cycle())
+    for argv, message in (
+        (["certify", path, "--bound", "0"], "bound must be positive"),
+        (["certify", path, "--horizon", "0"], "horizon must be positive"),
+        (["osm", path, "--certify", "--horizon", "0"], "horizon must be positive"),
+        (["ideal-gens", path, "--max-degree", "1"], "max_degree must be at least 2"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert json.loads(out) == {"error": "InputError", "message": message}
+
+
 def test_osm_certify_ladder_d4_reports_the_capped_piece(capsys):
     # the matching semigroup's degree-4 piece would take 119,731 * 156
     # additions; the cap stops it before the sums are formed

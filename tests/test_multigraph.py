@@ -343,12 +343,12 @@ def disjoint_directed_triangles(k):
 
 def test_canonical_search_spends_the_node_budget(monkeypatch):
     # k disjoint directed triangles tie about 3^k k! orderings and have no
-    # twins; four take 77,040 block evaluations, five 1,732,725
+    # twins; four take 39,564 block evaluations, five 775,755
     four, five = disjoint_directed_triangles(4), disjoint_directed_triangles(5)
     key = directed_canonical_key(*four)
-    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 77_040)
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 39_564)
     assert directed_canonical_key(*four) == key
-    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 77_039)
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 39_563)
     with pytest.raises(SearchCapExceeded):
         directed_canonical_key(*four)
     monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 100_000)
@@ -358,53 +358,71 @@ def test_canonical_search_spends_the_node_budget(monkeypatch):
     assert detail["search"] == "canonical_key" and detail["max_nodes"] == 100_000
 
 
+def counted_search(monkeypatch, evaluations, limit=None):
+    """Make the canonical search append every block evaluation to
+    evaluations, failing past limit evaluations when one is given."""
+    search = multigraph._search
+
+    def counting(mult, entries, colors, extend):
+        def counted(prefix, v):
+            evaluations.append(v)
+            assert limit is None or len(evaluations) <= limit
+            return extend(prefix, v)
+
+        return search(mult, entries, colors, counted)
+
+    monkeypatch.setattr(multigraph, "_search", counting)
+
+
 def test_canonical_search_stops_near_the_node_budget(monkeypatch):
-    # the budget is checked after each tied prefix, so the search stops
+    # the budget is checked after each tied state, so the search stops
     # within n = 21 evaluations past it, not at the end of the level
     budget = 100_000
     evaluations = []
-    min_encoding = multigraph._min_encoding
-
-    def counting(n, colors, twin, extend):
-        def counted(prefix, v):
-            evaluations.append(v)
-            return extend(prefix, v)
-
-        return min_encoding(n, colors, twin, counted)
-
+    counted_search(monkeypatch, evaluations)
     monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", budget)
-    monkeypatch.setattr(multigraph, "_min_encoding", counting)
     with pytest.raises(SearchCapExceeded):
         directed_canonical_key(*disjoint_directed_triangles(7))
     assert budget < len(evaluations) <= budget + 21
 
 
 def test_cell_search_stops_near_the_node_budget(monkeypatch):
-    # three isolated vertices form an arc-free class, so seven triangles
-    # beside them take the cell search, where the triangles tie as they do
-    # in the prefix search; it must stop within n = 24 evaluations past it
+    # seven triangles beside three isolated vertices: the triangles' vertices
+    # tie in cells of vertices from different triangles, and the search
+    # must still stop within n = 24 evaluations past the budget
     budget = 20_000
     evaluations = []
-    cell_encoding = multigraph._cell_encoding
-
-    def counting(mult, colors, twin, extend):
-        def counted(prefix, v):
-            evaluations.append(v)
-            assert len(evaluations) <= budget + 24
-            return extend(prefix, v)
-
-        return cell_encoding(mult, colors, twin, counted)
-
-    def no_prefix_search(*args):
-        raise AssertionError("took the prefix search")
-
+    counted_search(monkeypatch, evaluations, limit=budget + 24)
     monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", budget)
-    monkeypatch.setattr(multigraph, "_cell_encoding", counting)
-    monkeypatch.setattr(multigraph, "_min_encoding", no_prefix_search)
     verts, arcs = disjoint_directed_triangles(7)
     with pytest.raises(SearchCapExceeded):
         directed_canonical_key(verts + ["z0", "z1", "z2"], arcs)
     assert budget < len(evaluations)
+
+
+def oriented_cycle(n):
+    verts = [f"c{i}" for i in range(n)]
+    return verts, [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+
+
+def test_oriented_cycles_tie_in_cells(monkeypatch):
+    # one color class with arcs inside: the prefix search ties every
+    # independent set of the cycle in all its orders (7.17 million
+    # evaluations at n = 16), the cells tie it as a set
+    for n in range(3, 9):
+        verts, arcs = oriented_cycle(n)
+        assert directed_canonical_key(verts, arcs) == directed_canonical_key_reference(verts, arcs)
+        g = Multigraph(verts, arcs)
+        assert canonical_key(g) == canonical_key_reference(g)
+    verts, arcs = oriented_cycle(16)
+    start = time.perf_counter()
+    key = directed_canonical_key(verts, arcs)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 26_000)
+    assert directed_canonical_key(verts, arcs) == key
+    monkeypatch.setattr(multigraph, "DEFAULT_MAX_NODES", 25_999)
+    with pytest.raises(SearchCapExceeded):
+        directed_canonical_key(verts, arcs)
 
 
 # -- the cell search against the prefix search ----------------------------------
@@ -443,7 +461,6 @@ def test_cell_search_matches_the_prefix_search():
         (["h0", "h1", "h2", "z0", "z1", "z2"], [("h0", "h1"), ("h1", "h2"), ("h2", "h0")]),
     ]
     seeded = [sink_subdivided(rng, rng.randrange(1, 4), 6) for _ in range(120)]
-    cells = 0
     for verts, pairs in fixed + seeded:
         g = Multigraph(verts, pairs)
         assert canonical_key(g) == prefix_canonical_key_reference(g), (verts, pairs)
@@ -452,9 +469,6 @@ def test_cell_search_matches_the_prefix_search():
         assert directed_canonical_key(verts, pairs) == prefix_directed_canonical_key_reference(
             verts, pairs
         ), (verts, pairs)
-        mult, colors, _ = directed_search_setup(verts, pairs)
-        cells += len(set(colors)) < len(verts) and multigraph._has_open_class(mult, colors)
-    assert cells >= 40
 
 
 def test_quiver_list_keys_match_the_prefix_search():
@@ -471,18 +485,9 @@ def test_quiver_list_keys_match_the_prefix_search():
 def test_all_sink_quivers_take_the_cell_search(monkeypatch):
     # every edge of a rank-3 cubic skeleton subdivided by a sink: the six
     # sinks form one color class with no arc inside, which the prefix
-    # search ties in up to 6! orderings
+    # search ties in up to 6! orderings and the cells tie as sets
     evaluations = []
-    cell_encoding = multigraph._cell_encoding
-
-    def counting(mult, colors, twin, extend):
-        def counted(prefix, v):
-            evaluations.append(v)
-            return extend(prefix, v)
-
-        return cell_encoding(mult, colors, twin, counted)
-
-    monkeypatch.setattr(multigraph, "_cell_encoding", counting)
+    counted_search(monkeypatch, evaluations)
     counts = []
     for g in enumerate_maximal_skeletons(3):
         q = build_Rd_quiver(g, ["sink"] * len(g.edges))
