@@ -598,13 +598,11 @@ def _lattice_equivalent(rays_a, rays_b) -> bool:
     return False
 
 
-def classify_2d(
-    quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
-) -> str:
+def classify_2d(quiver: Quiver, weight: dict) -> str:
     """Name the toric surface of a 2-dimensional pair: "P2", "Bl1P2",
     "Bl2P2", "Bl3P2" (the plane blown up in 1 to 3 points) or "P1xP1";
     `surface_name` of its `normal_fan_2d`."""
-    return surface_name(normal_fan_2d(quiver, weight, max_nodes))
+    return surface_name(normal_fan_2d(quiver, weight))
 
 
 def surface_name(fan: Fan2D) -> str:
@@ -652,7 +650,7 @@ def _net_inflow(quiver: Quiver, arrow_ids, hub: str, flow: dict) -> int:
     return total
 
 
-def _split_hub(quiver: Quiver, weight: dict, hub: str, max_nodes: int):
+def _split_hub(quiver: Quiver, weight: dict, hub: str):
     """Split the valency->=4 vertex hub into two vertices joined through a
     fresh sink.  Each part keeps >= 2 of the incident arrows; the parts'
     weights are the minima of their net inflows over the polytope corners,
@@ -663,7 +661,7 @@ def _split_hub(quiver: Quiver, weight: dict, hub: str, max_nodes: int):
         a.id for a in quiver.arrows if a.tail == hub or a.head == hub
     )
     k = len(incident)
-    corners = vertices(quiver, weight, max_nodes)
+    corners = vertices(quiver, weight)
     assert corners, "a tight pair has corners"
     first, rest = incident[0], incident[1:]
     for size1 in range(2, k - 1):
@@ -705,9 +703,7 @@ def _split_hub(quiver: Quiver, weight: dict, hub: str, max_nodes: int):
     raise UnsupportedCase(f"no split of vertex {hub!r} keeps the quiver prime")
 
 
-def realize_Rprime(
-    quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
-) -> tuple[Quiver, dict]:
+def realize_Rprime(quiver: Quiver, weight: dict) -> tuple[Quiver, dict]:
     """Drive a tight normal-form pair onto a quiver whose skeleton is
     3-regular, without changing the polytope's lattice point counts in any
     dilation degree (hence neither its dimension nor facet count after
@@ -740,6 +736,4 @@ def realize_Rprime(
         )
         if hub is None:
             return current, current_weight
-        current, current_weight = _split_hub(
-            current, current_weight, hub, max_nodes
-        )
+        current, current_weight = _split_hub(current, current_weight, hub)

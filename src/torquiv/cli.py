@@ -36,7 +36,7 @@ from .classify import (
     surface_name,
 )
 from .corpus import regenerate
-from .errors import DomainError, InputError, SearchCapExceeded
+from .errors import DomainError, InputError, SearchCapExceeded, UnsupportedCase
 from .ideal import (
     GradedSemigroup,
     affine_relation_degree,
@@ -313,6 +313,10 @@ def _cmd_affine_degree(args):
 
 
 def _cmd_osm(args):
+    if args.certify and args.format == "csv":
+        raise InputError("argument --format csv: not allowed with argument --certify")
+    if not args.certify and args.horizon is not None:
+        raise InputError("argument --horizon: needs argument --certify")
     quiver, _weight, digest = _load_pair(args.file)
     if args.certify:
         verdict = osm_certify_degree3(quiver, args.horizon, args.max_nodes)
@@ -323,7 +327,7 @@ def _cmd_osm(args):
             verdict,
             None,
         )
-    matchings = osm_lattice_points(quiver)
+    matchings = osm_lattice_points(quiver, args.max_nodes)
     if args.format == "csv":
         return _csv_table(matchings, quiver)
     return {
@@ -396,6 +400,12 @@ def _node_cap(text: str) -> int:
     return cap
 
 
+# the commands whose searches read --max-nodes; the others refuse the flag
+_CAPPED = frozenset(
+    "lattice-points vertices normality localize ideal-gens certify affine-degree osm classify2d".split()
+)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built on the first call and reused for the process."""
@@ -411,8 +421,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="command")
 
-    def add(name, handler, help_text, parents=(common,)):
-        p = sub.add_parser(name, help=help_text, parents=list(parents))
+    def add(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text, parents=[common] if name in _CAPPED else [])
         p.set_defaults(handler=handler)
         return p
 
@@ -526,6 +536,10 @@ def _run(argv) -> int:
         return 1
     try:
         result = args.handler(args)
+        if isinstance(result, str):
+            print(result)
+        else:
+            _print_json(result)  # renders in full before it writes
     except InputError as exc:
         _error_json("InputError", str(exc))
         return 1
@@ -539,10 +553,16 @@ def _run(argv) -> int:
         )
         _print_json(exc.to_json())
         return 2
-    if isinstance(result, str):
-        print(result)
-    else:
-        _print_json(result)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        exc = UnsupportedCase(
+            f"an output integer has more than {limit} digits, the int-to-string limit",
+            max_str_digits=limit,
+        )
+        _print_json(exc.to_json())
+        return 2
     return 0
 
 

@@ -20,13 +20,12 @@ is byte-identical.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .classify import build_Rd_quiver, enumerate_affine_Rdd
 from .jsonout import dumps
 from .multigraph import Multigraph
-from .quiver import Arrow, Quiver, canonical_weight, quiver_from_dict
+from .quiver import Arrow, Quiver, canonical_weight
 
 
 def two_source_fan(weights=(-1, 1, 1, 1, -2)) -> tuple[Quiver, dict]:
@@ -210,8 +209,3 @@ def regenerate(directory) -> list[str]:
         names.append(name)
     return names
 
-
-def load_pair(path) -> tuple[Quiver, dict | None]:
-    """Parse one corpus pair file back into a quiver and weight."""
-    data = json.loads(Path(path).read_text())
-    return quiver_from_dict(data)

@@ -176,19 +176,6 @@ class GradedSemigroup:
     def index(self, gen: tuple) -> int:
         return self._gen_index[gen]
 
-    def peel(self, tup: tuple, count: int):
-        """Greedy factorization into `count` generators, lex-smallest first.
-
-        Returns a tuple of generator indices, or None when `tup` is not a
-        degree-`count` element (see `polytope.greedy_factorization`): the
-        packed test at `_width(count)` holds entries 0..count * top.
-        """
-        if any(x < 0 or x > count * self._top for x in tup):
-            return None
-        width, packed, guards = self._packing(count)
-        picks = greedy_factorization(packed, _pack(tup, width), count, guards)
-        return None if picks is None else tuple(picks)
-
 
 @dataclass(frozen=True)
 class DivisorGraph:
@@ -394,13 +381,7 @@ def collapse_parallel(quiver: Quiver, arrow_pair: tuple) -> Quiver:
     return quiver.without_arrow(second)
 
 
-def lift_generators(
-    quiver: Quiver,
-    weight: dict,
-    arrow_pair: tuple,
-    collapsed_gens: list,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> list:
+def lift_generators(quiver: Quiver, weight: dict, arrow_pair: tuple, collapsed_gens: list) -> list:
     """Pull relations back through the merge of two parallel arrows.
 
     Given a generating set for the quiver with the pair collapsed, returns
@@ -412,8 +393,8 @@ def lift_generators(
     """
     first, second = arrow_pair
     small = collapse_parallel(quiver, arrow_pair)
-    big_sg = GradedSemigroup(quiver, weight, max_nodes=max_nodes)
-    small_sg = GradedSemigroup(small, weight, max_nodes=max_nodes)
+    big_sg = GradedSemigroup(quiver, weight)
+    small_sg = GradedSemigroup(small, weight)
     pos1 = big_sg.arrow_ids.index(first)
     pos2 = big_sg.arrow_ids.index(second)
     merged_pos = small_sg.arrow_ids.index(first)
@@ -491,11 +472,12 @@ def _osm_parts(quiver: Quiver) -> tuple:
     return sources, sinks
 
 
-def osm_lattice_points(quiver: Quiver) -> list:
+def osm_lattice_points(quiver: Quiver, max_nodes: int = DEFAULT_MAX_NODES) -> list:
     """All one-sided matchings (one arrow per source, at most one per
     sink): the degree-one points of the matching polytope
-    (`_matching_polytope`) with the slack arrows forgotten, sorted."""
-    semigroup = GradedSemigroup(*_matching_polytope(quiver))
+    (`_matching_polytope`) with the slack arrows forgotten, sorted.
+    `max_nodes` caps the walk over that polytope."""
+    semigroup = GradedSemigroup(*_matching_polytope(quiver), max_nodes)
     arrow_ids = quiver.sorted_arrow_ids()
     keep = [semigroup.arrow_ids.index(a) for a in arrow_ids]
     matchings = sorted(tuple(g[i] for i in keep) for g in semigroup.generators)

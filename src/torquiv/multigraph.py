@@ -51,61 +51,6 @@ class Multigraph:
                 d += 1
         return d
 
-    def multiplicity(self, u, v) -> int:
-        key = (u, v) if u <= v else (v, u)
-        return sum(1 for e in self.edges if e == key)
-
-    def loop_count(self, v) -> int:
-        return self.multiplicity(v, v)
-
-    def is_loopless(self) -> bool:
-        return all(u != v for u, v in self.edges)
-
-    def num_components(self) -> int:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(v) for v in self.vertices})
-
-    def is_connected(self) -> bool:
-        return len(self.vertices) <= 1 or self.num_components() == 1
-
-    def euler_characteristic(self) -> int:
-        return len(self.edges) - len(self.vertices) + self.num_components()
-
-    def is_two_connected(self) -> bool:
-        """Connected, at least two vertices, and no cut vertex.
-
-        Parallel edges make two adjacent vertices 2-connected even without
-        a third vertex, which is exactly the convention needed here."""
-        if len(self.vertices) < 2 or not self.is_loopless():
-            return False
-        adjacent: dict = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adjacent[u].add(v)
-            adjacent[v].add(u)
-        for cut in (None,) + self.vertices:
-            rest = [v for v in self.vertices if v != cut]
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                for w in adjacent[stack.pop()] - seen:
-                    if w != cut:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) < len(rest):
-                return False
-        return True
-
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
 

@@ -362,9 +362,7 @@ def _flows(quiver: Quiver, points: list[tuple]) -> list[dict]:
     return [dict(zip(order, p)) for p in points]
 
 
-def bounded_lattice_points(
-    spec: BoundedFlowSpec, max_nodes: int = DEFAULT_MAX_NODES
-) -> list[dict]:
+def bounded_lattice_points(spec: BoundedFlowSpec) -> list[dict]:
     """All integer flows of the flow polytope l <= x <= u with divergence
     theta, sorted lexicographically in sorted-arrow-id coordinates.
     Cycles are fine here; the box bounds everything.
@@ -380,7 +378,7 @@ def bounded_lattice_points(
     arrows = _walk_arrows(quiver, quiver.sorted_vertices())
     caps = [spec.upper[a.id] - lower[a.id] for a in arrows]
     order = quiver.sorted_arrow_ids()
-    flows = _integer_walk(arrows, need, caps, order, _NodeBudget(max_nodes))
+    flows = _integer_walk(arrows, need, caps, order, _NodeBudget(DEFAULT_MAX_NODES))
     loops = [a.id for a in quiver.arrows if a.is_loop()]
     boxes = {a: range(lower[a], spec.upper[a] + 1) for a in loops}
     points = sorted(

@@ -40,29 +40,23 @@ class Quiver:
     def __init__(self, vertices: Iterable[str], arrows: Iterable[Arrow]):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.arrows: tuple[Arrow, ...] = tuple(arrows)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        self._vset = frozenset(self.vertices)
+        if len(self._vset) != len(self.vertices):
             raise InputError("duplicate vertex id")
-        ids = [a.id for a in self.arrows]
-        if len(set(ids)) != len(ids):
-            raise InputError("duplicate arrow id")
-        for a in self.arrows:
-            if a.tail not in vset:
-                raise InputError(f"arrow {a.id!r}: unknown tail {a.tail!r}")
-            if a.head not in vset:
-                raise InputError(f"arrow {a.id!r}: unknown head {a.head!r}")
-        self._vset = frozenset(vset)
         self._by_id = {a.id: a for a in self.arrows}
-        self._out: dict[str, tuple[Arrow, ...]] = {v: () for v in self.vertices}
-        self._in: dict[str, tuple[Arrow, ...]] = {v: () for v in self.vertices}
+        if len(self._by_id) != len(self.arrows):
+            raise InputError("duplicate arrow id")
         out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         inn: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
+            if a.tail not in out:
+                raise InputError(f"arrow {a.id!r}: unknown tail {a.tail!r}")
+            if a.head not in out:
+                raise InputError(f"arrow {a.id!r}: unknown head {a.head!r}")
             out[a.tail].append(a)
             inn[a.head].append(a)
-        for v in self.vertices:
-            self._out[v] = tuple(out[v])
-            self._in[v] = tuple(inn[v])
+        self._out = {v: tuple(x) for v, x in out.items()}
+        self._in = {v: tuple(x) for v, x in inn.items()}
 
     # -- basic accessors -------------------------------------------------
 

@@ -36,6 +36,7 @@ from .quiver import (
     Quiver,
     check_weight,
     components,
+    divergence,
     euler_characteristic,
     feasible_flow,
     flow_support,
@@ -496,10 +497,7 @@ def vertex_localization(quiver: Quiver, weight: dict, m: dict) -> Quiver:
             raise InputError(f"flow missing arrow {a.id!r}")
         if not isinstance(m[a.id], int) or m[a.id] < 0:
             raise NotAVertex(f"flow value at {a.id!r} is not a non-negative integer")
-    div = {v: 0 for v in quiver.vertices}
-    for a in quiver.arrows:
-        div[a.head] += m[a.id]
-        div[a.tail] -= m[a.id]
+    div = divergence(quiver, m)
     if any(div[v] != weight[v] for v in quiver.vertices):
         raise NotAVertex("flow does not have divergence theta")
 

@@ -502,10 +502,12 @@ def _packed_representative(packed, comp, target, degree, guards):
 
 
 def _representative(semigroup, tup, degree, first):
-    """Factorization starting with the given generator, greedy afterwards."""
-    rest = semigroup.peel(tuple(x - y for x, y in zip(tup, first)), degree - 1)
+    """Factorization starting with the given generator, lex-first afterwards."""
+    rest = factorization_reference(
+        semigroup.generators, tuple(x - y for x, y in zip(tup, first)), degree - 1
+    )
     assert rest is not None
-    return tuple(sorted((semigroup.index(first),) + rest))
+    return tuple(sorted([semigroup.index(first), *rest]))
 
 
 def minimal_generators_reference(semigroup, max_degree):
@@ -962,7 +964,7 @@ def skeleton_keys_reference(d, maximal=False):
             continue  # the top vertex could not avoid loops
         for chosen in _labeled_graphs_with_degrees(degrees):
             g = _graph_from_multiplicities(len(degrees), chosen)
-            if g.is_two_connected():
+            if is_two_connected_reference(g):
                 keys.add(canonical_key(g))
     return sorted(keys)
 
@@ -1295,6 +1297,24 @@ def normal_fan_2d_reference(quiver, weight):
             f"the tightened polytope has dimension {dim}, need 2", dimension=dim
         ).to_json()
     return normal_fan_2d(tq, tw).rays
+
+
+def graph_quiver(graph):
+    """The quiver with an arrow u -> v for each edge (u, v) of a multigraph,
+    so that the quiver oracles (`components`, `euler_characteristic`,
+    `blocks_reference`) read the graph."""
+    arrows = [Arrow(f"e{i}", u, v) for i, (u, v) in enumerate(graph.edges)]
+    return Quiver(graph.vertices, arrows)
+
+
+def is_two_connected_reference(graph):
+    """Loopless, at least two vertices, and one block holding every vertex
+    (`blocks_reference`).  Parallel edges make two adjacent vertices
+    2-connected even without a third vertex."""
+    if len(graph.vertices) < 2 or any(u == v for u, v in graph.edges):
+        return False
+    blocks = blocks_reference(graph_quiver(graph))
+    return len(blocks) == 1 and blocks[0][0] == frozenset(graph.vertices)
 
 
 def blocks_reference(quiver):

@@ -11,7 +11,7 @@ import pytest
 import torquiv
 from helpers import enumerate_affine_Rdd_reference, kronecker, path_pair, quiver_a, two_cycle
 
-from torquiv import Quiver
+from torquiv import Arrow, Quiver
 from torquiv.cli import main
 
 
@@ -299,6 +299,91 @@ def test_node_caps_below_one_are_usage_errors(tmp_path, capsys, cap):
     assert json.loads(out) == {
         "error": "InputError",
         "message": f"argument --max-nodes: must be at least 1, got {cap}",
+    }
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+CAPPED = [
+    ["lattice-points", "surface_p2.json"],
+    ["vertices", "surface_p2.json"],
+    ["normality", "surface_p2.json"],
+    ["localize", "surface_p2.json", "--vertex-index", "0"],
+    ["ideal-gens", "surface_p2.json", "--max-degree", "2"],
+    ["certify", "surface_p2.json"],
+    ["affine-degree", "affine_degree_d3.json"],
+    ["osm", "bipartite_k22.json"],
+    ["osm", "bipartite_k22.json", "--certify"],
+    ["classify2d", "surface_p2.json"],
+]
+UNCAPPED = [
+    ["tighten", "surface_p2.json"],
+    ["decompose", "surface_p2.json"],
+    ["skeleton", "surface_p2.json"],
+    ["double", "surface_p2.json", "--d", "2"],
+    ["skeletons", "--d", "2"],
+    ["affine-list", "--d", "1"],
+    ["corpus-regen", "--out"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, capped",
+    [
+        pytest.param(argv, argv in CAPPED, id=argv[0] + "-certify" * ("--certify" in argv))
+        for argv in CAPPED + UNCAPPED
+    ],
+)
+def test_max_nodes_only_where_a_search_reads_it(tmp_path, capsys, argv, capped):
+    # a search that reads the cap stops at one node; a command with no
+    # such search refuses the flag as a usage error, before any work
+    argv = [str(CORPUS / a) if a.endswith(".json") else a for a in argv]
+    if argv[0] == "corpus-regen":
+        argv.append(str(tmp_path / "regen"))
+    code, out = run_cli(capsys, *argv, "--max-nodes", "1")
+    if capped:
+        assert code == 2
+        assert json.loads(out) == {
+            "detail": {"max_nodes": 1},
+            "error": "search-cap-exceeded",
+            "message": "backtracking exceeded 1 nodes",
+        }
+    else:
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "InputError",
+            "message": "unrecognized arguments: --max-nodes 1",
+        }
+        assert not (tmp_path / "regen").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--horizon", "0"], "argument --horizon: needs argument --certify"),
+        (["--certify", "--format", "csv"], "argument --format csv: not allowed with argument --certify"),
+    ],
+    ids=["horizon-without-certify", "csv-with-certify"],
+)
+def test_osm_refuses_the_flags_its_mode_ignores(capsys, flags, message):
+    code, out = run_cli(capsys, "osm", str(CORPUS / "bipartite_k22.json"), *flags)
+    assert code == 1
+    assert json.loads(out) == {"error": "InputError", "message": message}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_integers_past_the_digit_limit_are_unsupported(tmp_path, capsys, fmt):
+    # weights of 4,291 digits parse; their 10^10-fold dilate has a flow of
+    # 4,301 digits, one past the int-to-string limit, and no partial output
+    big = 10**4290
+    path = write_pair(
+        tmp_path / "big.json", Quiver(["u", "v"], [Arrow("a", "u", "v")]), {"u": -big, "v": big}
+    )
+    code, out = run_cli(capsys, "lattice-points", path, "--degree", "10000000000", "--format", fmt)
+    assert code == 2
+    assert json.loads(out) == {
+        "detail": {"max_str_digits": 4300},
+        "error": "unsupported-case",
+        "message": "an output integer has more than 4300 digits, the int-to-string limit",
     }
 
 

@@ -3,13 +3,13 @@
 import json
 from pathlib import Path
 
+from torquiv.cli import _load_pair
 from torquiv.corpus import (
     acyclic_corpus_pairs,
     corpus_documents,
     corpus_pairs,
     crossed_ladder_graph,
     crossed_ladder_pair,
-    load_pair,
     rank_three_subdivisions,
     regenerate,
     serialize_document,
@@ -65,9 +65,11 @@ def test_every_corpus_file_round_trips(tmp_path):
 
 
 def test_load_pair_agrees_with_direct_parse(tmp_path):
+    # the CLI's loader reads a regenerated file back as the parsed pair
     regenerate(tmp_path / "c")
-    quiver, weight = load_pair(tmp_path / "c" / "surface_p2.json")
-    assert isinstance(quiver, Quiver)
+    path = tmp_path / "c" / "surface_p2.json"
+    quiver, weight, _digest = _load_pair(str(path))
+    assert (quiver, weight) == quiver_from_dict(json.loads(path.read_text()))
     assert sorted(weight.values()) == [-2, -1, 1, 1, 1]
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from torquiv import Arrow, Quiver, cli, tighten
-from torquiv.corpus import load_pair
 from torquiv.jsonout import dumps
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -62,7 +61,8 @@ def test_corpus_commands_print_json_dumps_bytes(path, tmp_path, capsys, printed)
     if path.stem.startswith("surface_"):
         commands.append(["classify2d"])
     run_all(capsys, printed, [[c[0], str(path), *c[1:]] for c in commands])
-    _tq, _tw, trace = tighten(*load_pair(path))
+    quiver, weight, _digest = cli._load_pair(str(path))
+    _tq, _tw, trace = tighten(quiver, weight)
     assert (tmp_path / "trace.json").read_text() == reference(trace.to_json()) + "\n"
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,12 +16,15 @@ from torquiv.multigraph import (
     directed_canonical_key,
     from_canonical_key,
 )
+from torquiv.quiver import components, euler_characteristic
 
 from helpers import (
     canonical_key_reference,
     contract_edge,
     directed_canonical_key_reference,
     directed_search_setup,
+    graph_quiver,
+    is_two_connected_reference,
     prefix_automorphisms_reference,
     prefix_canonical_key_reference,
     prefix_directed_canonical_key_reference,
@@ -35,15 +39,7 @@ def brute_force_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
     v1, v2 = list(g1.vertices), list(g2.vertices)
     for perm in itertools.permutations(v2):
         lift = dict(zip(v1, perm))
-        ok = True
-        for a in v1:
-            for b in v1:
-                if g1.multiplicity(a, b) != g2.multiplicity(lift[a], lift[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if Multigraph(v2, [(lift[a], lift[b]) for a, b in g1.edges]).edges == g2.edges:
             return True
     return False
 
@@ -70,8 +66,7 @@ def test_degree_counts_loops_twice():
     g = Multigraph(["a", "b"], [("a", "a"), ("a", "b")])
     assert g.degree("a") == 3
     assert g.degree("b") == 1
-    assert g.loop_count("a") == 1
-    assert not g.is_loopless()
+    assert Counter(g.edges)[("a", "a")] == 1
 
 
 def test_canonical_key_round_trip():
@@ -137,36 +132,41 @@ def test_regular_but_distinct():
 
 
 def test_two_connected():
+    # the skeleton lists' 2-connectivity oracle, on the blocks of the graph
     triangle = Multigraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-    assert triangle.is_two_connected()
+    assert is_two_connected_reference(triangle)
     parallel = Multigraph(["a", "b"], [("a", "b"), ("a", "b")])
-    assert parallel.is_two_connected()
+    assert is_two_connected_reference(parallel)
     path = Multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert not path.is_two_connected()
+    assert not is_two_connected_reference(path)
     single = Multigraph(["a"], [])
-    assert not single.is_two_connected()
+    assert not is_two_connected_reference(single)
     loopy = Multigraph(["a", "b"], [("a", "b"), ("a", "b"), ("a", "a")])
-    assert not loopy.is_two_connected()
+    assert not is_two_connected_reference(loopy)
     disconnected = Multigraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert not disconnected.is_two_connected()
+    assert not is_two_connected_reference(disconnected)
 
 
 def test_two_connected_matches_vertex_deletion():
     # no loops, connected, and connected after deleting any one vertex
+    def connected(g):
+        return len(components(graph_quiver(g))) == 1
+
     rng = random.Random(71)
     for _ in range(300):
         g = random_multigraph(rng, rng.randrange(1, 6), 8)
         expected = (
             len(g.vertices) >= 2
-            and g.is_loopless()
-            and g.is_connected()
+            and all(u != v for u, v in g.edges)
+            and connected(g)
             and all(
-                Multigraph([u for u in g.vertices if u != v], [e for e in g.edges if v not in e])
-                .is_connected()
+                connected(
+                    Multigraph([u for u in g.vertices if u != v], [e for e in g.edges if v not in e])
+                )
                 for v in g.vertices
             )
         )
-        assert g.is_two_connected() == expected, g.to_json()
+        assert is_two_connected_reference(g) == expected, g.to_json()
 
 
 def test_contract_edge_drops_new_loops():
@@ -175,14 +175,14 @@ def test_contract_edge_drops_new_loops():
     assert len(h.vertices) == 2
     # the parallel copy of the contracted edge becomes a loop and is dropped
     assert len(h.edges) == 1
-    assert h.num_components() == 1
+    assert len(components(graph_quiver(h))) == 1
 
 
 def test_euler_characteristic():
     g = Multigraph(["a", "b"], [("a", "b"), ("a", "b"), ("a", "b")])
-    assert g.euler_characteristic() == 2
+    assert euler_characteristic(graph_quiver(g)) == 2
     h = Multigraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert h.euler_characteristic() == 0
+    assert euler_characteristic(graph_quiver(h)) == 0
 
 
 # -- directed canonical keys ---------------------------------------------------

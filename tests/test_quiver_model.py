@@ -185,3 +185,15 @@ def test_duplicate_ids_rejected():
         Quiver(["v", "v"], [])
     with pytest.raises(InputError):
         Quiver(["u", "v"], [Arrow("a", "u", "v"), Arrow("a", "v", "u")])
+
+
+def test_adjacency_keeps_the_arrow_order_and_checks_the_ends():
+    arrows = [Arrow("c", "u", "v"), Arrow("a", "w", "v"), Arrow("b", "u", "v"), Arrow("d", "v", "u")]
+    q = Quiver(["u", "v", "w"], arrows)
+    assert q.out_arrows("u") == (arrows[0], arrows[2])
+    assert q.in_arrows("v") == (arrows[0], arrows[1], arrows[2])
+    assert q.out_arrows("v") == (arrows[3],) and q.in_arrows("w") == ()
+    for tail, head, end in (("x", "u", "tail"), ("u", "x", "head")):
+        with pytest.raises(InputError) as caught:
+            Quiver(["u"], [Arrow("e", tail, head)])
+        assert str(caught.value) == f"arrow 'e': unknown {end} 'x'"
