@@ -14,8 +14,8 @@ Four interlocking pieces:
   per orbit of the vertex permutations; both lists hold one
   representative per quiver isomorphism class;
 * the normal fan of a 2-dimensional pair in spanning-forest coordinates,
-  and the identification of its toric surface by ray count, double-checked
-  by a lattice-automorphism match against hard-coded reference fans;
+  and the identification of its toric surface as the hard-coded reference
+  fan that a lattice automorphism carries it onto;
 * a hub-splitting realization that moves any tight normal-form pair onto a
   quiver with 3-regular skeleton while preserving the polytope's lattice
   counts in every dilation degree.
@@ -51,6 +51,7 @@ from .polytope import DEFAULT_MAX_NODES, support_dimension, vertices
 from .quiver import (
     Arrow,
     Quiver,
+    _find_root,
     check_weight,
     euler_characteristic,
     feasible_flow,
@@ -502,19 +503,10 @@ def _lex_min_forest(quiver: Quiver) -> set:
     """Arrow ids of the spanning forest that is lexicographically smallest
     as an id set (greedy over sorted ids; loops never qualify)."""
     parent = {v: v for v in quiver.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     forest: set = set()
     for aid in quiver.sorted_arrow_ids():
         a = quiver.arrow(aid)
-        if a.is_loop():
-            continue
-        ru, rv = find(a.tail), find(a.head)
+        ru, rv = _find_root(parent, a.tail), _find_root(parent, a.head)
         if ru != rv:
             parent[ru] = rv
             forest.add(aid)
@@ -606,34 +598,17 @@ def classify_2d(quiver: Quiver, weight: dict) -> str:
 
 
 def surface_name(fan: Fan2D) -> str:
-    """The toric surface of the normal fan of a lattice polygon.
-
-    Decides by the ray count (4 rays split by central symmetry), then
-    insists on a lattice automorphism carrying the rays onto the chosen
-    reference fan; a mismatch between the two routes raises
-    AssertionError."""
-    n = len(fan.rays)
-    if n == 3:
-        name = "P2"
-    elif n == 4:
-        ray_set = set(fan.rays)
-        symmetric = all((-x, -y) in ray_set for x, y in ray_set)
-        name = "P1xP1" if symmetric else "Bl1P2"
-    elif n == 5:
-        name = "Bl2P2"
-    elif n == 6:
-        name = "Bl3P2"
-    else:
-        raise AssertionError(
-            f"internal inconsistency: a 2-dimensional pair produced {n} facet "
-            "normals; only 3 to 6 can occur"
-        )
-    if not _lattice_equivalent(fan.rays, REFERENCE_FANS[name]):
-        raise AssertionError(
-            "internal inconsistency: the ray-count classification does not "
-            "match the reference fan"
-        )
-    return name
+    """The toric surface of the normal fan of a lattice polygon: the
+    reference fan (`REFERENCE_FANS`) that a lattice automorphism carries
+    the rays onto.  Every 2-dimensional pair gives one of the five, so a
+    fan that matches none raises AssertionError."""
+    for name, rays in REFERENCE_FANS.items():
+        if _lattice_equivalent(fan.rays, rays):
+            return name
+    raise AssertionError(
+        f"internal inconsistency: the {len(fan.rays)} facet normals of a "
+        "2-dimensional pair match no reference fan"
+    )
 
 
 # -- realization on 3-regular skeletons ----------------------------------------

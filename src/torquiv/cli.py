@@ -80,11 +80,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_file(path: str) -> tuple[dict, str]:
+def _file_io(verb: str, path: str, call):
+    """Run `call()`, reporting an OSError as an InputError: cannot `verb` `path`."""
     try:
-        raw = Path(path).read_bytes()
+        return call()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
+
+
+def _load_file(path: str) -> tuple[dict, str]:
+    raw = _file_io("read", path, Path(path).read_bytes)
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
@@ -184,7 +189,8 @@ def _cmd_tighten(args):
         "quiver": tq.to_dict(tw),
     }
     if args.trace:
-        Path(args.trace).write_text(dumps(trace.to_json()) + "\n")
+        text = dumps(trace.to_json()) + "\n"
+        _file_io("write", args.trace, lambda: Path(args.trace).write_text(text))
         result["trace_file"] = args.trace
     return result
 
@@ -377,7 +383,7 @@ def _cmd_classify2d(args):
 
 
 def _cmd_corpus_regen(args):
-    names = regenerate(args.out)
+    names = _file_io("write", args.out, lambda: regenerate(args.out))
     return {
         "command": "corpus-regen",
         "count": len(names),

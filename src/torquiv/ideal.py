@@ -48,6 +48,7 @@ from .polytope import (
 from .quiver import (
     Arrow,
     Quiver,
+    _find_root,
     divergence,
     fresh_name,
     is_strongly_connected,
@@ -58,10 +59,6 @@ from .quiver import (
 
 def _leq(small: tuple, big: tuple) -> bool:
     return all(x <= y for x, y in zip(small, big))
-
-
-def _sub(big: tuple, small: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(big, small))
 
 
 def _addt(a: tuple, b: tuple) -> tuple:
@@ -212,20 +209,13 @@ class DegreeViolation:
 
 def _components_of(n: int, edges: list) -> list:
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in edges:
-        ri, rj = find(i), find(j)
+        ri, rj = _find_root(parent, i), _find_root(parent, j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find_root(parent, i), []).append(i)
     return [tuple(groups[r]) for r in sorted(groups)]
 
 
@@ -477,10 +467,11 @@ def osm_lattice_points(quiver: Quiver, max_nodes: int = DEFAULT_MAX_NODES) -> li
     sink): the degree-one points of the matching polytope
     (`_matching_polytope`) with the slack arrows forgotten, sorted.
     `max_nodes` caps the walk over that polytope."""
-    semigroup = GradedSemigroup(*_matching_polytope(quiver), max_nodes)
-    arrow_ids = quiver.sorted_arrow_ids()
-    keep = [semigroup.arrow_ids.index(a) for a in arrow_ids]
-    matchings = sorted(tuple(g[i] for i in keep) for g in semigroup.generators)
+    polytope, weight = _matching_polytope(quiver)
+    all_ids, arrow_ids = polytope.sorted_arrow_ids(), quiver.sorted_arrow_ids()
+    keep = [all_ids.index(a) for a in arrow_ids]
+    points = _lattice_tuples(polytope, weight, 1, max_nodes)
+    matchings = sorted(tuple(g[i] for i in keep) for g in points)
     return [dict(zip(arrow_ids, m)) for m in matchings]
 
 
@@ -533,30 +524,32 @@ def affine_relation_degree(quiver: Quiver, max_nodes: int = DEFAULT_MAX_NODES) -
             vertices=len(quiver.vertices),
         )
     arrow_ids = quiver.sorted_arrow_ids()
-    cycles = primitive_cycles(quiver)
-    eps = []
-    for c in cycles:
+    guards = _pack([1 << 2] * len(arrow_ids), 2)
+    eps = []  # a sum of two cycles is at most 2 on each arrow: fields of width 2
+    for c in primitive_cycles(quiver):
         vec = c.epsilon(quiver)
-        eps.append(tuple(vec[a] for a in arrow_ids))
+        eps.append(_pack([vec[a] for a in arrow_ids], 2))
     budget = _NodeBudget(max_nodes)
     best = 0
 
-    def decompositions(target: tuple, start: int, picked: list, banned: tuple):
+    def decompositions(rest: int, start: int, picked: list, banned: tuple):
+        """Each way to write the guarded `rest` as a sum of the cycles from
+        `start` on; a cycle fits under it when no field borrows its guard."""
         nonlocal best
         budget.spend()
-        if not any(target):
+        if rest == guards:
             if tuple(picked) != banned:
                 best = max(best, len(picked))
             return
         for i in range(start, len(eps)):
-            if _leq(eps[i], target):
+            left = rest - eps[i]
+            if left & guards == guards:
                 picked.append(i)
-                decompositions(_sub(target, eps[i]), i, picked, banned)
+                decompositions(left, i, picked, banned)
                 picked.pop()
 
     for i in range(len(eps)):
         for j in range(i, len(eps)):
-            target = _addt(eps[i], eps[j])
-            decompositions(target, 0, [], (i, j))
+            decompositions((eps[i] + eps[j]) | guards, 0, [], (i, j))
     del decompositions  # a recursive closure is a reference cycle: unbind it
     return best

@@ -432,18 +432,6 @@ def to_quiver_polytope(spec: BoundedFlowSpec) -> tuple[Quiver, dict]:
     return Quiver(new_vertices, new_arrows), new_weight
 
 
-def gadget_flow(spec: BoundedFlowSpec, flow: dict) -> dict:
-    """Image of a bounded flow under the to_quiver_polytope bijection."""
-    out = {}
-    for a in spec.quiver.arrows:
-        shifted = flow[a.id] - spec.lower[a.id]
-        uprime = spec.upper[a.id] - spec.lower[a.id]
-        out[f"{a.id}:1"] = shifted
-        out[f"{a.id}:2"] = uprime - shifted
-        out[f"{a.id}:3"] = shifted
-    return out
-
-
 # -- vertices ----------------------------------------------------------------
 
 

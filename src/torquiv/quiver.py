@@ -201,24 +201,26 @@ def fresh_name(base: str, taken: set) -> str:
 # -- connectivity ----------------------------------------------------------
 
 
+def _find_root(parent, v):
+    """The root of v in the union-find forest `parent` (a dict or a list),
+    halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def components(quiver: Quiver) -> list[frozenset[str]]:
     """Weakly connected components, ordered by smallest vertex id."""
     parent = {v: v for v in quiver.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for a in quiver.arrows:
-        ra, rb = find(a.tail), find(a.head)
+        ra, rb = _find_root(parent, a.tail), _find_root(parent, a.head)
         if ra != rb:
             parent[ra] = rb
 
     groups: dict[str, set[str]] = {}
     for v in quiver.vertices:
-        groups.setdefault(find(v), set()).add(v)
+        groups.setdefault(_find_root(parent, v), set()).add(v)
     return sorted((frozenset(g) for g in groups.values()), key=lambda g: min(g))
 
 

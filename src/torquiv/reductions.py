@@ -296,36 +296,22 @@ def prime_decompose(quiver: Quiver, weight: dict) -> list[tuple[Quiver, dict]]:
     cut vertex it hangs from, so every factor's weight sums over its own
     vertex set to the original component total.
 
+    A block vertex v takes the weight of its component once the block's
+    own arrows are gone.  That component holds no other vertex of the
+    block: a path to one off the block's arrows would close a cycle
+    through them, and the two blocks would be one.
+
     Isolated vertices come out as arrowless single-vertex factors.  Factors
     are ordered by smallest vertex id."""
     check_weight(quiver, weight)
-    comp_of: dict = {}
-    comps = components(quiver)
-    for comp in comps:
-        for v in comp:
-            comp_of[v] = comp
-
     blocks = _blocks(quiver)
     covered = {v for vs, _ in blocks for v in vs}
-    factors: list[tuple[Quiver, dict]] = []
-
-    for v in quiver.vertices:
-        if v not in covered and quiver.valency(v) == 0:
-            factors.append((Quiver([v], []), {v: weight[v]}))
-
+    factors = [(Quiver([v], []), {v: weight[v]}) for v in quiver.vertices if v not in covered]
     for vs, arrows in blocks:
-        comp = comp_of[min(vs)]
-        factor_weight = {}
-        for v in sorted(vs):
-            theta_v = weight[v]
-            # vertices separated from this block by v contribute there
-            rest = [u for u in comp if u != v]
-            sub = quiver.induced_on_vertices(rest)
-            for piece in components(sub):
-                if piece & (vs - {v}):
-                    continue
-                theta_v += sum(weight[u] for u in piece)
-            factor_weight[v] = theta_v
+        own = {a.id for a in arrows}
+        rest = Quiver(quiver.vertices, [a for a in quiver.arrows if a.id not in own])
+        hanging = {v: piece for piece in components(rest) for v in piece & vs}
+        factor_weight = {v: sum(weight[u] for u in hanging[v]) for v in sorted(vs)}
         factors.append(
             (Quiver(sorted(vs), sorted(arrows, key=lambda a: a.id)), factor_weight)
         )
@@ -338,10 +324,6 @@ def is_prime(quiver: Quiver) -> bool:
     """One block covering the whole quiver (a single vertex with no arrows
     counts as prime; a vertex with two loops does not, each loop being its
     own block)."""
-    if not quiver.vertices:
-        return False
-    if len(components(quiver)) != 1:
-        return False
     if len(quiver.vertices) == 1 and not quiver.arrows:
         return True
     blocks = _blocks(quiver)

@@ -327,6 +327,18 @@ def bounded_lattice_points_reference(spec) -> list[dict]:
     return sorted(results, key=lambda f: [f[a] for a in order])
 
 
+def gadget_flow(spec, flow):
+    """Image of a bounded flow under the to_quiver_polytope bijection."""
+    out = {}
+    for a in spec.quiver.arrows:
+        shifted = flow[a.id] - spec.lower[a.id]
+        uprime = spec.upper[a.id] - spec.lower[a.id]
+        out[f"{a.id}:1"] = shifted
+        out[f"{a.id}:2"] = uprime - shifted
+        out[f"{a.id}:3"] = shifted
+    return out
+
+
 def random_box(rng):
     """A seeded flow polytope on at most 4 vertices and 5 arrows, cycles
     and loops allowed, with lower bounds 0-1, widths 0-3 and a zero-sum
@@ -628,6 +640,38 @@ def osm_certified_reference(quiver, bound, horizon, max_nodes=1_000_000):
             if len(reached) < len(nodes):
                 return False
     return True
+
+
+def affine_relation_degree_reference(quiver, budget):
+    """`affine_relation_degree` on full-length cycle tuples, charging
+    `budget` once per search node as the library does."""
+    from torquiv import primitive_cycles
+
+    arrow_ids = quiver.sorted_arrow_ids()
+    eps = []
+    for c in primitive_cycles(quiver):
+        vec = c.epsilon(quiver)
+        eps.append(tuple(vec[a] for a in arrow_ids))
+    best = 0
+
+    def decompositions(target, start, picked, banned):
+        nonlocal best
+        budget.spend()
+        if not any(target):
+            if tuple(picked) != banned:
+                best = max(best, len(picked))
+            return
+        for i in range(start, len(eps)):
+            if all(x <= y for x, y in zip(eps[i], target)):
+                picked.append(i)
+                rest = tuple(y - x for x, y in zip(eps[i], target))
+                decompositions(rest, i, picked, banned)
+                picked.pop()
+
+    for i in range(len(eps)):
+        for j in range(i, len(eps)):
+            decompositions(tuple(x + y for x, y in zip(eps[i], eps[j])), 0, [], (i, j))
+    return best
 
 
 def complete_to_equal_parts(quiver):
@@ -1299,6 +1343,22 @@ def normal_fan_2d_reference(quiver, weight):
     return normal_fan_2d(tq, tw).rays
 
 
+def surface_name_reference(fan):
+    """The surface by ray count (four rays split by central symmetry),
+    checked by a lattice automorphism onto the chosen reference fan."""
+    from torquiv.classify import REFERENCE_FANS, _lattice_equivalent
+
+    n = len(fan.rays)
+    if n == 4:
+        symmetric = all((-x, -y) in fan.rays for x, y in fan.rays)
+        name = "P1xP1" if symmetric else "Bl1P2"
+    else:
+        name = {3: "P2", 5: "Bl2P2", 6: "Bl3P2"}.get(n)
+    if name is None or not _lattice_equivalent(fan.rays, REFERENCE_FANS[name]):
+        raise AssertionError(f"{n} rays that match no reference fan")
+    return name
+
+
 def graph_quiver(graph):
     """The quiver with an arrow u -> v for each edge (u, v) of a multigraph,
     so that the quiver oracles (`components`, `euler_characteristic`,
@@ -1355,6 +1415,47 @@ def blocks_reference(quiver):
         if v not in disc:
             dfs(v, None)
     return blocks
+
+
+def prime_decompose_reference(quiver, weight):
+    """`prime_decompose` on the blocks of `blocks_reference`, with each
+    hanging weight found vertex by vertex: the pieces of v's component
+    without v that touch no other vertex of v's block hang from v."""
+    from torquiv.quiver import components
+
+    comp_of = {v: comp for comp in components(quiver) for v in comp}
+    blocks = blocks_reference(quiver)
+    covered = {v for vs, _ in blocks for v in vs}
+    factors = [
+        (Quiver([v], []), {v: weight[v]})
+        for v in quiver.vertices
+        if v not in covered and quiver.valency(v) == 0
+    ]
+    for vs, arrows in blocks:
+        comp = comp_of[min(vs)]
+        factor_weight = {}
+        for v in sorted(vs):
+            sub = quiver.induced_on_vertices([u for u in comp if u != v])
+            hanging = [p for p in components(sub) if not p & (vs - {v})]
+            factor_weight[v] = weight[v] + sum(weight[u] for p in hanging for u in p)
+        factors.append(
+            (Quiver(sorted(vs), sorted(arrows, key=lambda a: a.id)), factor_weight)
+        )
+    factors.sort(key=lambda f: (min(f[0].vertices), f[0].sorted_arrow_ids()))
+    return factors
+
+
+def is_prime_reference(quiver):
+    """One component, and one block of `blocks_reference` holding every
+    vertex (an arrowless single vertex is prime, the empty quiver is not)."""
+    from torquiv.quiver import components
+
+    if len(components(quiver)) != 1:
+        return False
+    if len(quiver.vertices) == 1 and not quiver.arrows:
+        return True
+    blocks = blocks_reference(quiver)
+    return len(blocks) == 1 and blocks[0][0] == frozenset(quiver.vertices)
 
 
 def is_tight_by_moves_reference(quiver, weight):

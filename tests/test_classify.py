@@ -8,7 +8,9 @@ import random
 import pytest
 
 from torquiv import (
+    REFERENCE_FANS,
     Arrow,
+    Fan2D,
     Multigraph,
     Quiver,
     build_Rd_quiver,
@@ -35,9 +37,10 @@ from torquiv import (
     realize_Rprime,
     reflect,
     skeleton,
+    surface_name,
     tighten,
 )
-from torquiv.corpus import corpus_pairs
+from torquiv.corpus import corpus_pairs, surface_listing
 from torquiv.errors import (
     DomainError,
     EmptyPolyhedron,
@@ -76,6 +79,7 @@ from helpers import (
     random_pair,
     skeleton_growth_reference,
     skeleton_keys_reference,
+    surface_name_reference,
     two_cycle,
 )
 
@@ -653,6 +657,39 @@ def test_listing_pairs_classify_in_order():
     for weights, expected in listing:
         assert classify_2d(*quiver_a(weights)) == expected
     assert classify_2d(*two_kroneckers()) == "P1xP1"
+
+
+def random_unimodular(rng):
+    """(a, b, c, d) of a seeded product of shears, swaps and sign flips:
+    an integer matrix of determinant +-1."""
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 6)):
+        a, b, c, d = m
+        t = rng.choice([-2, -1, 1, 2])
+        shears = [(a + t * c, b + t * d, c, d), (a, b, c + t * a, d + t * b)]
+        m = rng.choice(shears + [(c, d, a, b), (-a, -b, c, d)])
+    return m
+
+
+def test_surface_names_match_the_ray_count_rule():
+    # the five corpus surfaces and seeded lattice images of every reference
+    # fan get the ray-count rule's names; fans that are the image of no
+    # reference, like a non-smooth one, are refused
+    for _stem, name, q, w in surface_listing():
+        fan = normal_fan_2d(q, w)
+        assert surface_name(fan) == surface_name_reference(fan) == name
+    rng = random.Random(29)
+    for name, rays in REFERENCE_FANS.items():
+        for _ in range(40):
+            a, b, c, d = random_unimodular(rng)
+            fan = Fan2D(tuple((a * x + b * y, c * x + d * y) for x, y in rays))
+            assert surface_name(fan) == surface_name_reference(fan) == name
+    non_smooth = ((1, 0), (0, 1), (-1, 0), (1, -2))
+    seven = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+    for rays in (non_smooth, seven):
+        for name_of in (surface_name, surface_name_reference):
+            with pytest.raises(AssertionError):
+                name_of(Fan2D(rays))
 
 
 def test_product_weight_on_connected_quiver():

@@ -185,6 +185,32 @@ def test_tighten_writes_trace_file(tmp_path, capsys):
     assert len(tightened["arrows"]) == 3
 
 
+def test_unwritable_trace_file_is_an_input_error(tmp_path, capsys):
+    q, w = quiver_a()
+    path = write_pair(tmp_path / "pair.json", q, w)
+    trace_path = tmp_path / "missing" / "trace.json"
+    code, out = run_cli(capsys, "tighten", path, "--trace", str(trace_path))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "InputError",
+        "message": f"cannot write {trace_path}: No such file or directory",
+    }
+
+
+def test_corpus_regen_into_a_regular_file_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("kept\n")
+    code, out = run_cli(capsys, "corpus-regen", "--out", str(target))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "InputError",
+        "message": f"cannot write {target}: File exists",
+    }
+    assert target.read_text() == "kept\n"
+
+
 def test_normality_certificate_carries_witnesses(tmp_path, capsys):
     q, w = kronecker()
     path = write_pair(tmp_path / "kronecker.json", q, w)
@@ -354,6 +380,18 @@ def test_max_nodes_only_where_a_search_reads_it(tmp_path, capsys, argv, capped):
             "message": "unrecognized arguments: --max-nodes 1",
         }
         assert not (tmp_path / "regen").exists()
+
+
+def test_affine_degree_cap_verdict_on_the_corpus(capsys):
+    # the search on affine_degree_d3 spends 62 nodes: it answers at that
+    # cap and stops one below it
+    path = str(CORPUS / "affine_degree_d3.json")
+    code, out = run_cli(capsys, "affine-degree", path, "--max-nodes", "62")
+    assert code == 0
+    assert json.loads(out)["verdict"] == 3
+    code, out = run_cli(capsys, "affine-degree", path, "--max-nodes", "61")
+    assert code == 2
+    assert json.loads(out)["error"] == "search-cap-exceeded"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from torquiv import (
     collapse_parallel,
     dimension,
     divisor_graph,
+    enumerate_affine_Rdd,
     lattice_points,
     lift_generators,
     minimal_generators,
@@ -23,7 +24,7 @@ from torquiv import (
     osm_lattice_points,
 )
 from torquiv import ideal
-from torquiv.corpus import acyclic_corpus_pairs
+from torquiv.corpus import acyclic_corpus_pairs, cycle_with_reversals
 from torquiv.ideal import (
     _disconnected,
     _divisor_components,
@@ -31,7 +32,7 @@ from torquiv.ideal import (
     _pack,
     _unpack,
 )
-from torquiv.polytope import _support
+from torquiv.polytope import _NodeBudget, _support
 from torquiv.errors import (
     EmptyPolyhedron,
     EmptyWeight,
@@ -46,6 +47,7 @@ from helpers import (
     _packed_representative,
     _representative,
     affine_cycle_pair,
+    affine_relation_degree_reference,
     all_factorizations,
     complete_bipartite,
     complete_to_equal_parts,
@@ -679,6 +681,50 @@ def test_affine_degree_requires_strong_connectivity():
     q, _ = kronecker()
     with pytest.raises(UnsupportedCase):
         affine_relation_degree(q)
+
+
+def bidirected_path(n):
+    verts = [f"v{i:02d}" for i in range(n)]
+    arrows = [Arrow(f"f{i:02d}", verts[i], verts[i + 1]) for i in range(n - 1)]
+    arrows += [Arrow(f"b{i:02d}", verts[i + 1], verts[i]) for i in range(n - 1)]
+    return Quiver(verts, arrows)
+
+
+def random_strong(rng):
+    """A random cycle through every vertex, plus random arrows and loops."""
+    verts = [f"v{i}" for i in range(rng.randint(1, 5))]
+    ring = rng.sample(verts, len(verts))
+    arrows = [Arrow(f"c{i}", v, ring[i - 1]) for i, v in enumerate(ring)]
+    for k in range(rng.randint(0, 4)):
+        arrows.append(Arrow(f"x{k}", rng.choice(verts), rng.choice(verts)))
+    return Quiver(verts, arrows)
+
+
+def test_affine_degree_matches_the_tuple_search_node_for_node(monkeypatch):
+    # the packed fits try the cycles the tuple search tries, in its order,
+    # so each quiver gets the same value for the same charge
+    budgets = []
+
+    class Counted(_NodeBudget):
+        def __init__(self, max_nodes):
+            super().__init__(max_nodes)
+            budgets.append(self)
+
+    monkeypatch.setattr(ideal, "_NodeBudget", Counted)
+    rng = random.Random(29)
+    quivers = [q for d in (1, 2, 3, 4) for q in enumerate_affine_Rdd(d)]
+    quivers += [cycle_with_reversals(d)[0] for d in (3, 4, 5, 6)]
+    quivers += [bidirected_path(n) for n in range(1, 13)]
+    quivers += [random_strong(rng) for _ in range(60)]
+    values = set()
+    for q in quivers:
+        expected_budget = _NodeBudget(10**6)
+        expected = affine_relation_degree_reference(q, expected_budget)
+        assert affine_relation_degree(q) == expected
+        spent = budgets[-1].max - budgets[-1].left
+        assert spent == expected_budget.max - expected_budget.left
+        values.add(expected)
+    assert len(values) >= 4, values
 
 
 # -- the oracle helper itself -----------------------------------------------------

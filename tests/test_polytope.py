@@ -28,7 +28,7 @@ from torquiv.errors import (
     SearchCapExceeded,
     UnboundedPolyhedron,
 )
-from torquiv.polytope import _NodeBudget, gadget_flow
+from torquiv.polytope import _NodeBudget
 from torquiv.quiver import components, is_acyclic
 
 from helpers import (
@@ -36,6 +36,7 @@ from helpers import (
     affine_rank,
     bounded_lattice_points_reference,
     flow_tuple,
+    gadget_flow,
     hull_vertices,
     integer_walk_reference,
     kronecker,

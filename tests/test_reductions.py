@@ -37,18 +37,20 @@ from torquiv.errors import (
     ValencyTooLow,
     WrongValencyPattern,
 )
-from torquiv.quiver import feasible_flow, flow_support, topological_order
+from torquiv.quiver import components, feasible_flow, flow_support, topological_order
 from torquiv.reductions import _blocks, in_rd_form
 
 from helpers import (
     affine_cycle_pair,
     blocks_reference,
     extreme_points_reference,
+    is_prime_reference,
     kronecker,
     loop_quiver,
     normalize_to_Rd_reference,
     opposite_pair,
     path_pair,
+    prime_decompose_reference,
     quiver_a,
     random_acyclic,
     random_pair,
@@ -290,6 +292,26 @@ def test_hanging_weight_folds_into_cut_vertex():
     assert by_min["u"][1] == {"u": -1, "v": 1}
     assert by_min["v"][1] == {"v": -1, "w": 1}
     assert all(sum(f[1].values()) == 0 for f in factors)
+
+
+def test_prime_factors_match_the_vertex_by_vertex_reference():
+    # the draws have loops, cycles, isolated vertices, several components
+    # and cut vertices with weight hanging from them; the empty quiver is
+    # neither prime nor split
+    rng = random.Random(29)
+    pairs = [(q, w) for _stem, q, w in corpus_pairs()] + [(Quiver([], []), {})]
+    pairs += [random_pair(rng, max_vertices=7, max_arrows=9) for _ in range(300)]
+    seen = dict.fromkeys(["loop", "isolated", "split", "hanging", "prime"], 0)
+    for q, w in pairs:
+        factors = prime_decompose(q, w)
+        assert factors == prime_decompose_reference(q, w)
+        assert is_prime(q) == is_prime_reference(q)
+        seen["loop"] += any(a.is_loop() for a in q.arrows)
+        seen["isolated"] += any(q.valency(v) == 0 for v in q.vertices)
+        seen["split"] += len(components(q)) > 1
+        seen["hanging"] += any(fw[v] != w[v] for _fq, fw in factors for v in fw)
+        seen["prime"] += is_prime(q)
+    assert min(seen.values()) >= 30, seen
 
 
 def _block_set(blocks):
