@@ -294,8 +294,8 @@ def enumerate_Rd(d: int) -> list[Quiver]:
     isomorphic quivers exactly when an automorphism of the skeleton moves
     one onto the other, and different skeletons give different quivers, so
     each skeleton contributes the least tuple of every orbit whose
-    orientation is acyclic.  Each such tuple is keyed from its arcs on
-    vertex indices, and only a tuple with a new key is built into a quiver.
+    orientation is acyclic.  So every such tuple is its own class: it is
+    keyed from its arcs on vertex indices and built into a quiver.
     d = 1 is the special one-element case of the two-arrow quiver.
 
     Supported for 1 <= d <= 4.  Rank 5 is refused at once: its 118
@@ -304,7 +304,7 @@ def enumerate_Rd(d: int) -> list[Quiver]:
     _check_rank(d, 1, 4)
     if d == 1:
         return [kronecker_quiver()]
-    found: dict = {}
+    found = []
     for graph in enumerate_skeletons(d):
         n = len(graph.vertices)
         index = {v: i for i, v in enumerate(graph.vertices)}
@@ -317,9 +317,9 @@ def enumerate_Rd(d: int) -> list[Quiver]:
             for s, (u, v) in enumerate(subdivided, n):
                 arcs += [(u, s), (v, s)]
             key = directed_canonical_key(range(n + len(subdivided)), arcs)
-            if key not in found:
-                found[key] = build_Rd_quiver(graph, [_CHOICES[c] for c in choice])
-    return [found[k] for k in sorted(found)]
+            found.append((key, build_Rd_quiver(graph, [_CHOICES[c] for c in choice])))
+    found.sort(key=lambda pair: pair[0])
+    return [quiver for _key, quiver in found]
 
 
 # -- the zero-weight lists -----------------------------------------------------
@@ -544,7 +544,7 @@ def normal_fan_2d(
             f"the tightened polytope has dimension {dim}, need 2", dimension=dim
         )
     tq, tw, _ = tighten(quiver, weight)
-    free = [aid for aid in tq.sorted_arrow_ids() if aid not in _lex_min_forest(tq)]
+    free = sorted({a.id for a in tq.arrows} - _lex_min_forest(tq))
     assert len(free) == 2, "a tight 2-dimensional pair leaves two free coordinates"
     f1, f2 = free
     hull = _convex_hull((x[f1], x[f2]) for x in vertices(tq, tw, max_nodes))

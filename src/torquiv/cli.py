@@ -81,11 +81,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _file_io(verb: str, path: str, call):
-    """Run `call()`, reporting an OSError as an InputError: cannot `verb` `path`."""
+    """Run `call()`; an OSError becomes an InputError naming its file, as given if `path`."""
     try:
         return call()
     except OSError as exc:
-        raise InputError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
+        name = path if exc.filename in (None, str(Path(path))) else exc.filename
+        raise InputError(f"cannot {verb} {name}: {exc.strerror or exc}") from None
 
 
 def _load_file(path: str) -> tuple[dict, str]:

@@ -199,13 +199,12 @@ def serialize_document(doc: dict) -> str:
 
 
 def regenerate(directory) -> list[str]:
-    """Write every golden file under the directory; returns the file names
-    written, sorted.  Rerunning produces byte-identical files."""
+    """Render every golden file, then write each under the directory;
+    returns the file names, sorted.  Rerunning gives byte-identical files."""
+    texts = {name: serialize_document(doc) for name, doc in sorted(corpus_documents().items())}
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for name, doc in sorted(corpus_documents().items()):
-        (out_dir / name).write_text(serialize_document(doc))
-        names.append(name)
-    return names
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+    return list(texts)
 

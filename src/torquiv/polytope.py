@@ -95,14 +95,11 @@ def _walk_arrows(quiver: Quiver, order: list[str]) -> list[Arrow]:
     """Non-loop arrows grouped by the first vertex of `order` they touch,
     by id within a group: once a vertex's group is assigned, its divergence
     is settled.  On a topological order this groups arrows by tail."""
-    seen: set = set()
-    arrows = []
-    for v in order:
-        for a in sorted(quiver.out_arrows(v) + quiver.in_arrows(v), key=lambda a: a.id):
-            if a.id not in seen and not a.is_loop():
-                seen.add(a.id)
-                arrows.append(a)
-    return arrows
+    position = {v: i for i, v in enumerate(order)}
+    return sorted(
+        (a for a in quiver.arrows if not a.is_loop()),
+        key=lambda a: (min(position[a.tail], position[a.head]), a.id),
+    )
 
 
 def _integer_walk(
@@ -435,14 +432,6 @@ def to_quiver_polytope(spec: BoundedFlowSpec) -> tuple[Quiver, dict]:
 # -- vertices ----------------------------------------------------------------
 
 
-def _subset_sums(values) -> set:
-    sums = {0}
-    for w in values:
-        if w:
-            sums |= {s + w for s in sums}
-    return sums
-
-
 def vertices(
     quiver: Quiver, weight: dict, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[dict]:
@@ -455,6 +444,10 @@ def vertices(
     a flow an arrow t -> h carries theta(S) for the vertex set S on its
     head side, so it is at most the sum of the positive weights and lies
     in {theta(S) : h in S, t not in S, S inside the arrow's component}.
+    That set is theta(h) plus the subset sums of the component's nonzero
+    weights with one copy of each end's weight taken out, so it depends
+    only on the component, theta(t) and theta(h), and is built once per
+    such triple.
 
     One integer walk finds each vertex once: the divergence-interval
     pruning of `lattice_points`, plus forest support and these value sets.
@@ -464,18 +457,24 @@ def vertices(
         return []
     arrows = _walk_arrows(quiver, topological_order(quiver) or list(quiver.vertices))
     cap = sum(max(weight[v], 0) for v in quiver.vertices)
-    weighted: dict = {}  # vertex -> the vertices of its component with a nonzero weight
-    for comp in components(quiver):
-        weighted.update(dict.fromkeys(comp, [v for v in comp if weight[v]]))
-    sums: dict = {}
+    weighted: dict = {}  # vertex -> (its component's index, the component's nonzero weights)
+    for i, comp in enumerate(components(quiver)):
+        weighted.update(dict.fromkeys(comp, (i, [weight[v] for v in comp if weight[v]])))
+    value_sets: dict = {}
     values: dict = {}
     for a in arrows:
-        ends = frozenset((a.tail, a.head))
-        if ends not in sums:
-            sums[ends] = _subset_sums(weight[v] for v in weighted[a.head] if v not in ends)
-        values[a.id] = sorted(
-            x for x in (s + weight[a.head] for s in sums[ends]) if 0 < x <= cap
-        )
+        i, weights = weighted[a.head]
+        key = (i, weight[a.tail], weight[a.head])
+        if key not in value_sets:
+            rest = list(weights)
+            for w in key[1:]:
+                if w:
+                    rest.remove(w)
+            sums = {0}
+            for w in rest:
+                sums |= {s + w for s in sums}
+            value_sets[key] = sorted(x for x in (s + key[2] for s in sums) if 0 < x <= cap)
+        values[a.id] = value_sets[key]
     need = {v: weight[v] for v in quiver.vertices}
     caps = [cap] * len(arrows)
     budget = _NodeBudget(max_nodes)

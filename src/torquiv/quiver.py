@@ -111,15 +111,16 @@ class Quiver:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self, weight: dict[str, int] | None = None) -> dict:
+        vertices = self.sorted_vertices()
         d: dict = {
-            "vertices": self.sorted_vertices(),
+            "vertices": vertices,
             "arrows": [
                 {"id": a.id, "tail": a.tail, "head": a.head}
                 for a in sorted(self.arrows, key=lambda a: a.id)
             ],
         }
         if weight is not None:
-            d["weight"] = {v: weight[v] for v in self.sorted_vertices()}
+            d["weight"] = {v: weight[v] for v in vertices}
         return d
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -467,32 +468,26 @@ def primitive_cycles(quiver: Quiver) -> list[PrimitiveCycle]:
     Enumeration: for every start vertex s (in sorted order) find the cycles
     whose smallest vertex is s by a DFS that only walks vertices >= s and
     never repeats a vertex.  Each such cycle is discovered exactly once
-    because it passes through its smallest vertex exactly once.
+    because it passes through its smallest vertex exactly once.  The DFS
+    keeps one iterator over sorted out-arrows per path vertex on a stack,
+    so a long path does not recurse.
     """
     order = {v: i for i, v in enumerate(quiver.sorted_vertices())}
+    out = {v: sorted(quiver.out_arrows(v), key=lambda a: a.id) for v in order}
     found: list[tuple[str, ...]] = []
-
-    path_arrows: list[str] = []
-    visited: set[str] = set()
-
-    def dfs(v: str) -> None:
-        for a in sorted(quiver.out_arrows(v), key=lambda a: a.id):
-            w = a.head
-            if w == s:
-                found.append(_canonical_rotation(tuple(path_arrows + [a.id])))
-                continue
-            if order[w] <= s_rank or w in visited:
-                continue
-            visited.add(w)
-            path_arrows.append(a.id)
-            dfs(w)
-            path_arrows.pop()
-            visited.discard(w)
-
-    for s in quiver.sorted_vertices():
-        s_rank = order[s]
-        dfs(s)
-    del dfs  # a recursive closure is a reference cycle: unbind it so `found` frees
+    for s, s_rank in order.items():
+        visited: set[str] = set()
+        stack = [(s, None, iter(out[s]))]  # (vertex, arrow into it, its arrows left)
+        while stack:
+            a = next(stack[-1][2], None)
+            if a is None:
+                visited.discard(stack.pop()[0])
+            elif a.head == s:
+                path = tuple(aid for _v, aid, _arrows in stack[1:])
+                found.append(_canonical_rotation(path + (a.id,)))
+            elif order[a.head] > s_rank and a.head not in visited:
+                visited.add(a.head)
+                stack.append((a.head, a.id, iter(out[a.head])))
 
     unique = sorted(set(found), key=lambda t: (len(t), t))
     return [PrimitiveCycle(t) for t in unique]

@@ -27,6 +27,22 @@ def path_pair(n):
     return q, w
 
 
+def star_pair(n):
+    """One source s of weight -n feeding n sinks t0000, t0001, ... of weight
+    1; its polytope is the single flow that sends 1 to every sink."""
+    sinks = [f"t{i:04d}" for i in range(n)]
+    q = Quiver(["s", *sinks], [Arrow(f"a{i:04d}", "s", t) for i, t in enumerate(sinks)])
+    return q, {"s": -n} | dict.fromkeys(sinks, 1)
+
+
+def oriented_cycle_pair(n):
+    """The oriented cycle v0000 -> v0001 -> ... -> v0000 on n vertices with
+    the zero weight."""
+    verts = [f"v{i:04d}" for i in range(n)]
+    q = Quiver(verts, [Arrow(f"a{i:04d}", verts[i], verts[(i + 1) % n]) for i in range(n)])
+    return q, dict.fromkeys(verts, 0)
+
+
 def quiver_a(weights=(-1, 1, 1, 1, -2)):
     """Two sources feeding three middle sinks: the 2-dimensional workhorse.
 
@@ -196,6 +212,19 @@ def in_convex_hull(point: tuple, others: list[tuple], rays: list[tuple] = ()) ->
 
 def flow_tuple(flow: dict, arrow_ids: list[str]) -> tuple:
     return tuple(flow[a] for a in arrow_ids)
+
+
+def walk_arrows_reference(quiver, order):
+    """The walk's arrow order by vertex: each vertex of `order` in turn
+    takes its unseen non-loop in- and out-arrows, sorted by id."""
+    seen = set()
+    arrows = []
+    for v in order:
+        for a in sorted(quiver.out_arrows(v) + quiver.in_arrows(v), key=lambda a: a.id):
+            if a.id not in seen and not a.is_loop():
+                seen.add(a.id)
+                arrows.append(a)
+    return arrows
 
 
 def integer_walk_reference(arrows, need, caps, columns, budget, values=None) -> list[tuple]:

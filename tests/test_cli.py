@@ -4,12 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import torquiv
-from helpers import enumerate_affine_Rdd_reference, kronecker, path_pair, quiver_a, two_cycle
+from helpers import (
+    enumerate_affine_Rdd_reference,
+    kronecker,
+    oriented_cycle_pair,
+    path_pair,
+    quiver_a,
+    star_pair,
+    two_cycle,
+)
 
 from torquiv import Arrow, Quiver
 from torquiv.cli import main
@@ -78,6 +87,10 @@ def test_missing_file_exit_one(tmp_path, capsys):
     code, out = run_cli(capsys, "vertices", str(tmp_path / "nope.json"))
     assert code == 1
     assert json.loads(out)["error"] == "InputError"
+    typed = f"{tmp_path}/./nope.json"  # named as given, not as the normalized path
+    code, out = run_cli(capsys, "vertices", typed)
+    assert code == 1
+    assert json.loads(out)["message"] == f"cannot read {typed}: No such file or directory"
 
 
 def test_missing_weight_field_exit_one(tmp_path, capsys):
@@ -211,6 +224,17 @@ def test_corpus_regen_into_a_regular_file_is_an_input_error(tmp_path, capsys):
     assert target.read_text() == "kept\n"
 
 
+def test_corpus_regen_names_the_file_it_cannot_write(tmp_path, capsys):
+    blocked = tmp_path / "surface_p2.json"
+    blocked.mkdir()
+    code, out = run_cli(capsys, "corpus-regen", "--out", str(tmp_path))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InputError",
+        "message": f"cannot write {blocked}: Is a directory",
+    }
+
+
 def test_normality_certificate_carries_witnesses(tmp_path, capsys):
     q, w = kronecker()
     path = write_pair(tmp_path / "kronecker.json", q, w)
@@ -227,6 +251,25 @@ def test_affine_degree_on_two_cycle_is_zero(tmp_path, capsys):
     code, out = run_cli(capsys, "affine-degree", path)
     assert code == 0
     assert json.loads(out)["verdict"] == 0
+
+
+def test_affine_degree_on_a_long_oriented_cycle_is_zero(tmp_path, capsys):
+    # primitive_cycles walks the 1,500-vertex path with a stack, not by
+    # recursion, so no recursion limit stops it
+    path = write_pair(tmp_path / "cycle.json", *oriented_cycle_pair(1500))
+    code, out = run_cli(capsys, "affine-degree", path)
+    assert code == 0
+    assert json.loads(out)["verdict"] == 0
+
+
+def test_vertices_of_a_wide_star_answer_at_once(tmp_path, capsys):
+    q, w = star_pair(1500)
+    path = write_pair(tmp_path / "star.json", q, w)
+    start = time.process_time()
+    code, out = run_cli(capsys, "vertices", path)
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["vertices"] == [dict.fromkeys(q.sorted_arrow_ids(), 1)]
 
 
 def test_skeletons_rank_two_single_member(capsys):

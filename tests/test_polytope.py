@@ -46,7 +46,9 @@ from helpers import (
     random_acyclic,
     random_box,
     random_pair,
+    star_pair,
     two_cycle,
+    walk_arrows_reference,
 )
 
 
@@ -376,6 +378,40 @@ def test_long_path_vertex_in_linear_time():
     start = time.process_time()
     assert vertices(q, w) == [dict.fromkeys(q.sorted_arrow_ids(), 1)]
     assert time.process_time() - start < 2.0
+
+
+def test_walk_arrows_match_the_per_vertex_reference():
+    # one sort by (position of the first end, id) groups the arrows as the
+    # per-vertex sorts did, also where a head comes before its tail
+    rng = random.Random(30)
+    quivers = [q for _stem, q, _w in corpus_pairs()]
+    quivers += [random_pair(rng, max_vertices=6, max_arrows=9)[0] for _ in range(300)]
+    for q in quivers:
+        shuffled = list(q.vertices)
+        rng.shuffle(shuffled)
+        for order in (shuffled, q.sorted_vertices()):
+            assert polytope._walk_arrows(q, order) == walk_arrows_reference(q, order), q
+
+
+def test_value_sets_are_kept_per_component():
+    # s -> t and p -> q have the same tail and head weights, but only p -> q,
+    # in the other component, carries 3; each name order walks one first
+    for one, two in (("a", "b"), ("b", "a")):
+        s, t, r, p, q, z = (f"{one}s", f"{one}t", *(two + v for v in "rpqz"))
+        ends = [(s, t), (r, p), (p, q), (q, z)]
+        quiver = Quiver([s, t, r, p, q, z], [Arrow(u + v, u, v) for u, v in ends])
+        weight = {s: -1, t: 1, r: -2, p: -1, q: 1, z: 2}
+        expected = {s + t: 1, r + p: 2, p + q: 3, q + z: 2}
+        assert vertices(quiver, weight) == [expected]
+
+
+def test_wide_star_vertex_builds_one_value_set():
+    # every arrow of the star has the same component, tail weight and head
+    # weight, so all 1,500 arrows share one value set
+    q, w = star_pair(1500)
+    start = time.process_time()
+    assert vertices(q, w) == [dict.fromkeys(q.sorted_arrow_ids(), 1)]
+    assert time.process_time() - start < 1.0
 
 
 def test_vertices_scale_with_the_weight():
